@@ -17,18 +17,13 @@ import numpy as np
 from .kinematics import DecayGeometry
 from .serialize import ScanGrid
 from .states import ortho_state
-from .tensor import PureState, reduced_density
+from .tensor import PureState, _require_normalized, reduced_density
 
 _EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 # Cells per parallel chunk of the scan. Fixed regardless of worker count so
 # the floating-point work per cell is identical however the grid is split.
 _SCAN_CHUNK_ROWS = 32
-
-
-def _require_normalized(state: PureState) -> None:
-    if abs(state.norm() ** 2 - 1.0) > 1e-12:
-        raise ValueError("state must be normalized (squared norm within 1e-12 of 1)")
 
 
 def _epsilon_contraction(t: np.ndarray) -> complex:

@@ -10,29 +10,15 @@ which reduces to 3E - E' on permutation-symmetric states and respects the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from .serialize import ScanGrid
-from .states import delta_family_state
-from .tensor import PAULI, PureState, bloch_observable
-
-_SIGMA = np.stack(PAULI)
-
-
-def _unit_vector(v, tol: float = 1e-9) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).ravel()
-    if arr.shape != (3,):
-        raise ValueError("Bloch direction must have three components")
-    length = float(np.linalg.norm(arr))
-    if abs(length - 1.0) > tol:
-        raise ValueError(f"Bloch direction must be unit length, got |n| = {length}")
-    out = arr / length
-    out.setflags(write=False)
-    return out
+from .states import delta_family_state, delta_range
+from .tensor import PureState, _unit_vector, pauli_tensor
 
 
 @dataclass(frozen=True)
@@ -75,6 +61,13 @@ def _direction(theta_rad: float, phi_rad: float) -> np.ndarray:
     )
 
 
+def _direction_jacobian(theta_rad: float, phi_rad: float) -> np.ndarray:
+    """3x2 matrix of d n / d theta and d n / d phi for n = _direction(theta, phi)."""
+    st, ct = np.sin(theta_rad), np.cos(theta_rad)
+    sp, cp = np.sin(phi_rad), np.cos(phi_rad)
+    return np.array([[ct * cp, -st * sp], [ct * sp, st * cp], [-st, 0.0]])
+
+
 def _angles_of(n: np.ndarray) -> tuple[float, float]:
     theta = float(np.degrees(np.arccos(np.clip(n[2], -1.0, 1.0))))
     phi = float(np.degrees(np.arctan2(n[1], n[0])) % 360.0)
@@ -86,75 +79,59 @@ def yx_settings() -> ObservableSettings:
     return ObservableSettings(unprimed=(0.0, 1.0, 0.0), primed=(1.0, 0.0, 0.0))
 
 
-def _require_normalized(state: PureState) -> None:
-    if abs(state.norm() ** 2 - 1.0) > 1e-12:
-        raise ValueError("state must be normalized (squared norm within 1e-12 of 1)")
+def _expectation(corr: np.ndarray, a, b, c) -> float:
+    """(a.sigma) x (b.sigma) x (c.sigma) read off a Pauli correlation tensor."""
+    return float(np.einsum("ijk,i,j,k->", corr[1:, 1:, 1:], a, b, c))
+
+
+def _mermin(corr: np.ndarray, n, p) -> float:
+    e = lambda a, b, c: _expectation(corr, a, b, c)
+    return e(p, n, n) + e(n, p, n) + e(n, n, p) - e(p, p, p)
 
 
 def triple_expectation(state: PureState, n_a, n_b, n_c) -> float:
     """<state| (n_a.sigma) x (n_b.sigma) x (n_c.sigma) |state> for unit vectors."""
-    if state.n_qubits != 3:
-        raise ValueError("triple_expectation needs a three-qubit state")
-    _require_normalized(state)
-    ops = [bloch_observable(_unit_vector(n)).matrix for n in (n_a, n_b, n_c)]
-    t = state.tensor
-    value = np.einsum("abc,ax,by,cz,xyz->", t.conj(), ops[0], ops[1], ops[2], t)
-    if abs(value.imag) > 1e-10:
-        raise ValueError(f"expectation has nonreal residue {value.imag}")
-    return float(value.real)
+    return _expectation(pauli_tensor(state), *map(_unit_vector, (n_a, n_b, n_c)))
 
 
 def mermin_value(state: PureState, settings: ObservableSettings) -> float:
     """Four-term Mermin combination at the given symmetric settings."""
-    n, p = settings.unprimed, settings.primed
-    return (
-        triple_expectation(state, p, n, n)
-        + triple_expectation(state, n, p, n)
-        + triple_expectation(state, n, n, p)
-        - triple_expectation(state, p, p, p)
-    )
+    return _mermin(pauli_tensor(state), settings.unprimed, settings.primed)
 
 
-def _correlation_tensor(state: PureState) -> np.ndarray:
-    """Real 3x3x3 tensor of Pauli expectations; every setting evaluation is
-    then a cheap trilinear contraction."""
-    _require_normalized(state)
-    t = state.tensor
-    corr = np.einsum("abc,iax,jby,kcz,xyz->ijk", t.conj(), _SIGMA, _SIGMA, _SIGMA, t)
-    return np.real(corr)
+def _symmetrized(corr: np.ndarray) -> np.ndarray:
+    """Sum of the six index permutations of the three-party correlations.
+
+    With s this tensor, M = s(p, n, n)/2 - s(p, p, p)/6, so
+    dM/dn = s(p, n, .) and dM/dp = (s(n, n, .) - s(p, p, .))/2.
+    """
+    c = corr[1:, 1:, 1:]
+    return sum(np.transpose(c, axes) for axes in itertools.permutations(range(3)))
 
 
-def _mermin_from_tensor(corr: np.ndarray, angles_rad: np.ndarray) -> float:
+def _value_and_gradient(corr: np.ndarray, sym: np.ndarray, angles_rad) -> tuple[float, np.ndarray]:
+    """Mermin value and its exact gradient in (theta, phi, theta', phi') radians."""
     th, ph, thp, php = angles_rad
-    n = _direction(th, ph)
-    p = _direction(thp, php)
-    e = lambda a, b, c: float(np.einsum("ijk,i,j,k->", corr, a, b, c))
-    return e(p, n, n) + e(n, p, n) + e(n, n, p) - e(p, p, p)
+    n, p = _direction(th, ph), _direction(thp, php)
+    grad_n = np.einsum("ijk,i,j->k", sym, p, n)
+    grad_p = (np.einsum("ijk,i,j->k", sym, n, n) - np.einsum("ijk,i,j->k", sym, p, p)) / 2.0
+    grad = np.concatenate(
+        (grad_n @ _direction_jacobian(th, ph), grad_p @ _direction_jacobian(thp, php))
+    )
+    return _mermin(corr, n, p), grad
 
 
 def mermin_gradient(state: PureState, angles_deg) -> np.ndarray:
-    """Central-difference gradient of the Mermin functional.
+    """Exact gradient of the Mermin functional in the setting angles.
 
     angles_deg is (theta, phi, theta', phi') in degrees; the returned
-    derivatives are with respect to the angles in radians (h = 1e-5 rad).
+    derivatives are with respect to the angles in radians.
     """
-    corr = _correlation_tensor(state)
     x = np.radians(np.asarray(angles_deg, dtype=float))
     if x.shape != (4,):
         raise ValueError("angles must be (theta, phi, theta_prime, phi_prime)")
-    return _gradient(corr, x)
-
-
-def _gradient(corr: np.ndarray, angles_rad: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    grad = np.zeros(4)
-    for i in range(4):
-        step = np.zeros(4)
-        step[i] = h
-        grad[i] = (
-            _mermin_from_tensor(corr, angles_rad + step)
-            - _mermin_from_tensor(corr, angles_rad - step)
-        ) / (2.0 * h)
-    return grad
+    corr = pauli_tensor(state)
+    return _value_and_gradient(corr, _symmetrized(corr), x)[1]
 
 
 @dataclass(frozen=True)
@@ -199,14 +176,22 @@ class MerminResult:
     points: tuple["MerminResult", ...] = field(default=())
 
 
+_STATIONARY_TOL = 1e-6  # gradient norm at or below which a point is stationary
+_POLE_TOL = 1e-6  # radians from a pole within which phi is arbitrary
+
+
 def _fold_angles(corr: np.ndarray, x: np.ndarray, value: float) -> np.ndarray:
     """Map converged angles onto a canonical representative.
 
-    Directions are normalized to theta in [0, 180] and phi in [0, 360); the
-    complex-conjugation copy (phi, phi') -> (360 - phi, 360 - phi') is folded
-    when it moves phi below 180 degrees, but only if the folded angles
-    reproduce the same value (true for real-amplitude states).
+    Directions are normalized to theta in [0, 180] and phi in [0, 360). A
+    direction on a pole, where phi is arbitrary, becomes theta = 0 or 180
+    exactly with phi = 0, and the complex-conjugation copy (phi, phi') ->
+    (360 - phi, 360 - phi') is folded when it moves phi below 180 degrees;
+    each fold applies only if it reproduces the value within 1e-9 (for the
+    conjugation fold, true of real-amplitude states).
     """
+    value_at = lambda y: _mermin(corr, _direction(*y[:2]), _direction(*y[2:]))
+    same_value = lambda y: abs(value_at(y) - value) <= 1e-9
     out = x.copy()
     for base in (0, 2):
         th = out[base] % (2.0 * np.pi)
@@ -216,11 +201,16 @@ def _fold_angles(corr: np.ndarray, x: np.ndarray, value: float) -> np.ndarray:
             ph = ph + np.pi
         out[base] = th
         out[base + 1] = ph % (2.0 * np.pi)
+        if min(th, np.pi - th) <= _POLE_TOL:
+            candidate = out.copy()
+            candidate[base : base + 2] = (0.0 if th < np.pi / 2.0 else np.pi, 0.0)
+            if same_value(candidate):
+                out = candidate
     if out[1] > np.pi:
         candidate = out.copy()
         candidate[1] = (2.0 * np.pi - out[1]) % (2.0 * np.pi)
         candidate[3] = (2.0 * np.pi - out[3]) % (2.0 * np.pi)
-        if abs(_mermin_from_tensor(corr, candidate) - value) <= 1e-9:
+        if same_value(candidate):
             out = candidate
     return out
 
@@ -228,18 +218,22 @@ def _fold_angles(corr: np.ndarray, x: np.ndarray, value: float) -> np.ndarray:
 def mermin_extremize(state: PureState, starts: int = 64, seed: int = 0) -> MerminResult:
     """Multi-start minimization of the Mermin functional over symmetric settings.
 
-    Runs a derivative-free simplex search from `starts` low-discrepancy
-    points in (theta, phi, theta', phi') space, clusters the converged
-    results by value, and returns the best minimum found. The `points` field
-    carries one representative per distinct stationary value, best first;
-    each carries its finite-difference gradient norm and a stationarity flag
+    Runs a quasi-Newton (BFGS) search on the exact gradient from `starts`
+    low-discrepancy points in (theta, phi, theta', phi') space, keeps the
+    starts that end at a stationary point (exact gradient norm <= 1e-6),
+    clusters them by value, and returns the best minimum found. The `points`
+    field carries one representative per distinct stationary value, best
+    first; each carries its exact gradient norm and a stationarity flag
     (norm <= 1e-6). Deterministic for fixed (starts, seed) and independent
     of thread count.
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
-    corr = _correlation_tensor(state)
-    fun = lambda x: _mermin_from_tensor(corr, x)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    corr = pauli_tensor(state)
+    sym = _symmetrized(corr)
+    fun = lambda x: _value_and_gradient(corr, sym, x)
 
     sampler = qmc.Halton(d=4, scramble=True, seed=seed)
     lo = np.array([0.0, 0.0, 0.0, 0.0])
@@ -248,64 +242,38 @@ def mermin_extremize(state: PureState, starts: int = 64, seed: int = 0) -> Mermi
 
     found = []
     for x0 in x0s:
-        res = minimize(
-            fun,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000, "maxfev": 8000},
-        )
-        if res.success:
+        res = minimize(fun, x0, jac=True, method="BFGS", options={"gtol": 1e-10})
+        # BFGS flags precision loss as failure even at a stationary point, so
+        # the exact gradient decides convergence, not res.success
+        if np.linalg.norm(res.jac) <= _STATIONARY_TOL:
             found.append((float(res.fun), np.asarray(res.x, dtype=float)))
     if not found:
-        raise RuntimeError("no start converged; increase starts or loosen options")
+        raise RuntimeError("no start converged; increase starts")
 
+    rank = lambda angles: tuple(np.round(angles, 6))
     clusters: dict[float, tuple[float, np.ndarray]] = {}
     for value, x in found:
         folded = _fold_angles(corr, x, value)
         key = round(value, 6)
-        entry = (value, folded)
-        if key not in clusters:
-            clusters[key] = entry
-        else:
-            # deterministic representative: smallest value, then smallest angles
-            best = clusters[key]
-            cand_rank = (value, tuple(np.round(folded, 6)))
-            best_rank = (best[0], tuple(np.round(best[1], 6)))
-            if cand_rank < best_rank:
-                clusters[key] = entry
+        # the representative is the smallest angles; ranking by value first
+        # would let rounding noise pick a symmetric copy
+        if key not in clusters or rank(folded) < rank(clusters[key][1]):
+            clusters[key] = (value, folded)
 
     points = []
-    for value, x in sorted(clusters.values(), key=lambda e: (e[0], tuple(np.round(e[1], 6)))):
-        grad_norm = float(np.linalg.norm(_gradient(corr, x)))
+    for value, x in sorted(clusters.values(), key=lambda e: e[0]):
+        grad_norm = float(np.linalg.norm(fun(x)[1]))
         angles = tuple(float(a) for a in np.degrees(x))
         points.append(
             MerminResult(
                 value=value,
                 settings=ObservableSettings.from_angles(*angles),
                 angles_deg=angles,
-                stationary=grad_norm <= 1e-6,
+                stationary=grad_norm <= _STATIONARY_TOL,
                 gradient_norm=grad_norm,
             )
         )
-    best = points[0]
-    return MerminResult(
-        value=best.value,
-        settings=best.settings,
-        angles_deg=best.angles_deg,
-        stationary=best.stationary,
-        gradient_norm=best.gradient_norm,
-        points=tuple(points),
-    )
-
-
-def inclusive_range(start: float, stop: float, step: float) -> np.ndarray:
-    """start, start + step, ... up to and including stop (within 1e-9 slack)."""
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    if stop < start:
-        raise ValueError(f"range end {stop} is below start {start}")
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(n)
+    return replace(points[0], points=tuple(points))
 
 
 def mermin_delta_sweep(start_deg: float, stop_deg: float, step_deg: float) -> ScanGrid:
@@ -315,10 +283,7 @@ def mermin_delta_sweep(start_deg: float, stop_deg: float, step_deg: float) -> Sc
     -value - 2 (positive once the local-realism bound -2 is beaten; the
     curve crosses zero near delta = 85.88 degrees).
     """
-    deltas = inclusive_range(float(start_deg), float(stop_deg), float(step_deg))
-    if deltas.size and not (0.0 <= deltas[0] and deltas[-1] <= 180.0 + 1e-9):
-        raise ValueError("delta range must stay within [0, 180] degrees")
-    deltas = np.clip(deltas, 0.0, 180.0)  # accumulated step dust must not trip validation
+    deltas = delta_range(start_deg, stop_deg, step_deg)
     settings = yx_settings()
     values = np.array([mermin_value(delta_family_state(d), settings) for d in deltas])
     return ScanGrid(

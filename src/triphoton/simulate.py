@@ -19,7 +19,7 @@ import numpy as np
 
 from .serialize import Table
 from .strength import info_distance
-from .tensor import PureState, bloch_observable
+from .tensor import PureState, _unit_vector, pauli_tensor
 
 # Trials are drawn in fixed-size blocks so the random stream consumed for a
 # given (seed, run_index) never depends on the cap or on scheduling.
@@ -67,6 +67,8 @@ def simulate_depression(
         raise ValueError(f"target_exponent must be positive, got {target_exponent}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     k = info_distance(q, r)
     expected = math.inf if k == 0.0 else target_exponent / k
@@ -154,6 +156,8 @@ def run_batch(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     job = lambda i: simulate_depression(
         q, r, target_exponent=target_exponent, cap=cap, seed=seed, run_index=i
     )
@@ -172,32 +176,16 @@ def sample_joint_outcomes(
     """Multinomial sample of the eight joint outcomes of three spin measurements.
 
     Returns a 2x2x2 integer array of counts; index 0 along an axis means
-    outcome +1 for that party, index 1 means -1. Probabilities come from the
-    Born rule via the projectors (I +/- n.sigma)/2.
+    outcome +1 for that party, index 1 means -1. The Born probabilities are
+    read off the Pauli correlation tensor T as
+    p_ijk = T . (1, s_i n_a) x (1, s_j n_b) x (1, s_k n_c) / 8 with s = (+1, -1).
     """
-    if state.n_qubits != 3:
-        raise ValueError("sample_joint_outcomes needs a three-qubit state")
     if n < 0:
         raise ValueError(f"sample count must be >= 0, got {n}")
-    eye = np.eye(2)
-    projectors = []
-    for direction in (n_a, n_b, n_c):
-        obs = bloch_observable(direction).matrix
-        projectors.append(((eye + obs) / 2.0, (eye - obs) / 2.0))
-    t = state.tensor
-    probs = np.empty((2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                value = np.einsum(
-                    "abc,ax,by,cz,xyz->",
-                    t.conj(),
-                    projectors[0][i],
-                    projectors[1][j],
-                    projectors[2][k],
-                    t,
-                )
-                probs[i, j, k] = value.real
+    corr = pauli_tensor(state)
+    # row 0 of a leg is outcome +1, row 1 outcome -1
+    legs = [np.array([np.r_[1.0, d], np.r_[1.0, -d]]) for d in map(_unit_vector, (n_a, n_b, n_c))]
+    probs = np.einsum("ijk,ai,bj,ck->abc", corr, *legs) / 8.0
     total = probs.sum()
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"outcome probabilities sum to {total}, not 1")

@@ -255,6 +255,21 @@ def delta_family_state(delta_deg: float) -> PureState:
     return PureState(amp)
 
 
+def delta_range(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:
+    """Deltas start, start + step, ... up to and including stop (within 1e-9
+    slack), every one inside the family's [0, 180] degree domain."""
+    start, stop, step = float(start_deg), float(stop_deg), float(step_deg)
+    if step <= 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    if stop < start:
+        raise ValueError(f"range end {stop} is below start {start}")
+    n = int(np.floor((stop - start) / step + 1e-9)) + 1
+    deltas = start + step * np.arange(n)
+    if not (0.0 <= deltas[0] and deltas[-1] <= 180.0 + 1e-9):
+        raise ValueError("delta range must stay within [0, 180] degrees")
+    return np.clip(deltas, 0.0, 180.0)  # accumulated step dust must not trip validation
+
+
 def delta_family_minimal(delta_deg: float) -> PureState:
     """Four-coefficient representative of the same one-parameter family.
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .mermin import inclusive_range, triple_expectation, yx_settings
-from .states import delta_family_state
+from .mermin import triple_expectation, yx_settings
+from .states import delta_family_state, delta_range
 from .serialize import ScanGrid, Table
 from .tensor import PureState, ghz_state
 
@@ -35,11 +35,14 @@ def info_distance(q: float, r: float) -> float:
     """Kullback-Leibler distance K(q, r) in base-10 digits.
 
     One-sided terms drop out at the endpoints: K(0, r) = -log10(1 - r) and
-    K(1, r) = -log10(r). Raises ValueError when the distance is undefined
-    because r puts zero probability on an outcome q allows.
+    K(1, r) = -log10(r). Raises ValueError when q or r is not a probability
+    in [0, 1] (NaN included), and when the distance is undefined because r
+    puts zero probability on an outcome q allows.
     """
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"q must lie in [0, 1], got {q}")
+    if not (0.0 <= r <= 1.0):
+        raise ValueError(f"r must lie in [0, 1], got {r}")
     if q > 0.0 and r <= 0.0:
         raise ValueError(f"r = {r} forbids an outcome with probability q = {q}")
     if q < 1.0 and r >= 1.0:
@@ -289,10 +292,7 @@ def strength_delta_sweep(
     flagged_over_200 marks deltas needing at least as many trials as the
     singlet benchmark (or where no violation exists at all).
     """
-    deltas = inclusive_range(float(start_deg), float(stop_deg), float(step_deg))
-    if deltas.size and not (0.0 <= deltas[0] and deltas[-1] <= 180.0 + 1e-9):
-        raise ValueError("delta range must stay within [0, 180] degrees")
-    deltas = np.clip(deltas, 0.0, 180.0)
+    deltas = delta_range(start_deg, stop_deg, step_deg)
     q1s, r1s, ns, flags = [], [], [], []
     for d in deltas:
         model = event_probabilities(delta_family_state(float(d)))

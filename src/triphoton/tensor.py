@@ -1,4 +1,4 @@
-"""Small three-qubit tensor toolkit: pure states, local operators, reductions.
+"""Three-qubit tensor toolkit: states, operators, reductions, Pauli correlations.
 
 Basis convention used throughout the package: each photon (qubit) is labelled
 by helicity, with helicity + mapped to bit 0 and helicity - mapped to bit 1.
@@ -15,6 +15,9 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
+
+# identity first, so index 0 of each correlation-tensor axis is "not measured"
+_SIGMA4 = np.stack((np.eye(2, dtype=complex),) + PAULI)
 
 _BIT_FOR_HELICITY = {"+": 0, "-": 1}
 
@@ -175,8 +178,9 @@ def purity(rho) -> float:
     return DensityMatrix(np.asarray(rho, dtype=complex)).purity()
 
 
-def bloch_observable(direction) -> LocalOperator:
-    """Spin observable n . sigma for a unit Bloch vector n; eigenvalues +/-1."""
+def _unit_vector(direction) -> np.ndarray:
+    """Read-only copy of a Bloch direction, rescaled to exactly unit length
+    after checking it has three components and unit length within 1e-9."""
     n = np.asarray(direction, dtype=float).ravel()
     if n.shape != (3,):
         raise ValueError("Bloch direction must have three components")
@@ -184,7 +188,38 @@ def bloch_observable(direction) -> LocalOperator:
     if abs(length - 1.0) > 1e-9:
         raise ValueError(f"Bloch direction must be unit length, got |n| = {length}")
     n = n / length
+    n.setflags(write=False)
+    return n
+
+
+def bloch_observable(direction) -> LocalOperator:
+    """Spin observable n . sigma for a unit Bloch vector n; eigenvalues +/-1."""
+    n = _unit_vector(direction)
     return LocalOperator(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
+
+
+def _require_normalized(state: PureState) -> None:
+    if abs(state.norm() ** 2 - 1.0) > 1e-12:
+        raise ValueError("state must be normalized (squared norm within 1e-12 of 1)")
+
+
+def pauli_tensor(state: PureState) -> np.ndarray:
+    """Real 4x4x4 correlation tensor T[mu, nu, lam] = <s_mu x s_nu x s_lam>.
+
+    s_0 is the identity and s_1..s_3 the Pauli matrices. The expectation of
+    (a.sigma) x (b.sigma) x (c.sigma) is T[1:, 1:, 1:] contracted with a, b, c;
+    the probability of outcomes (s, t, u) in {+1, -1}^3 along those
+    directions is T contracted with (1, s a), (1, t b), (1, u c), over 8.
+    """
+    if state.n_qubits != 3:
+        raise ValueError("the Pauli correlation tensor needs a three-qubit state")
+    _require_normalized(state)
+    t = state.tensor
+    corr = np.einsum("abc,iax,jby,kcz,xyz->ijk", t.conj(), _SIGMA4, _SIGMA4, _SIGMA4, t)
+    residue = float(np.abs(corr.imag).max())
+    if residue > 1e-10:
+        raise ValueError(f"expectation has nonreal residue {residue}")
+    return corr.real
 
 
 def random_local_unitary(rng) -> LocalOperator:

@@ -97,11 +97,46 @@ def product_superposition_mermin(u, v, alpha, unprimed, primed):
     return e(p, n, n) + e(n, p, n) + e(n, n, p) - e(p, p, p)
 
 
+def _dense_expectation(amplitudes, op_a, op_b, op_c):
+    psi = np.asarray(amplitudes, dtype=complex).ravel()
+    big = np.kron(np.kron(op_a, op_b), op_c)
+    return float(np.real(np.conj(psi) @ big @ psi))
+
+
 def dense_triple_expectation(amplitudes, n_a, n_b, n_c):
     """Expectation via an explicit 8x8 Kronecker matrix."""
-    psi = np.asarray(amplitudes, dtype=complex).ravel()
-    big = np.kron(np.kron(_bloch(n_a), _bloch(n_b)), _bloch(n_c))
-    return float(np.real(np.conj(psi) @ big @ psi))
+    return _dense_expectation(amplitudes, _bloch(n_a), _bloch(n_b), _bloch(n_c))
+
+
+def dense_pauli_expectation(amplitudes, i, j, k):
+    """<s_i x s_j x s_k> via an explicit 8x8 Kronecker matrix; index 0 is the
+    identity and 1..3 are x, y, z."""
+    basis = (np.eye(2),) + _PAULI
+    return _dense_expectation(amplitudes, basis[i], basis[j], basis[k])
+
+
+def _angle_direction(theta, phi):
+    return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+
+def dense_mermin(amplitudes, angles_rad):
+    """Four-term Mermin value at angles (theta, phi, theta', phi') in radians."""
+    n = _angle_direction(*angles_rad[:2])
+    p = _angle_direction(*angles_rad[2:])
+    e = lambda a, b, c: dense_triple_expectation(amplitudes, a, b, c)
+    return e(p, n, n) + e(n, p, n) + e(n, n, p) - e(p, p, p)
+
+
+def central_difference_mermin_gradient(amplitudes, angles_rad, h=1e-5):
+    """Central differences of dense_mermin in each angle, step h radians."""
+    x = np.asarray(angles_rad, dtype=float)
+    grad = np.zeros(4)
+    for i in range(4):
+        step = np.zeros(4)
+        step[i] = h
+        forward = dense_mermin(amplitudes, x + step)
+        grad[i] = (forward - dense_mermin(amplitudes, x - step)) / (2.0 * h)
+    return grad
 
 
 def su2_to_so3(unitary):

@@ -198,6 +198,9 @@ def test_mermin_extremize_ghz(capsys):
 
 def test_mermin_extremize_unknown_state_exits_2(capsys):
     assert run_cli(capsys, ["mermin", "extremize", "--state", "nope"])[0] == 2
+    code, _, err = run_cli(capsys, ["mermin", "extremize", "--starts", "2", "--seed", "-1"])
+    assert code == 2
+    assert "seed must be >= 0" in err
 
 
 def test_mermin_sweep_golden(capsys):
@@ -263,6 +266,9 @@ def test_simulate_argument_conflicts_exit_2(capsys):
     assert run_cli(
         capsys, ["simulate", "--q", "0.5", "--r", "0.4", "--delta", "120"]
     )[0] == 2
+    code, _, err = run_cli(capsys, ["simulate", "--q", "0.5", "--r", "0.4", "--seed", "-1"])
+    assert code == 2
+    assert "seed must be >= 0" in err
 
 
 def test_simulate_nonviolating_delta_exits_2(capsys):

@@ -18,7 +18,7 @@ from triphoton import (
     triple_expectation,
     yx_settings,
 )
-from triphoton.mermin import inclusive_range
+from triphoton.states import delta_range
 
 
 def test_settings_require_unit_vectors():
@@ -130,6 +130,17 @@ def test_gradient_vanishes_at_the_symmetric_stationary_point():
 def test_gradient_is_nonzero_away_from_stationary_points():
     g = mermin_gradient(delta_family_state(120.0), (80.0, 30.0, 95.0, 100.0))
     assert np.linalg.norm(g) > 1e-2
+    # and it is the exact derivative: random states and angles against the
+    # central differences of an independently evaluated Mermin value
+    from triphoton import PureState
+
+    rng = np.random.default_rng(74)
+    for _ in range(20):
+        amp = oracles.random_state(rng)
+        angles = rng.uniform((0, 0, 0, 0), (180, 360, 180, 360))
+        expected = oracles.central_difference_mermin_gradient(amp, np.radians(angles))
+        got = mermin_gradient(PureState(amp), angles)
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-8)
 
 
 def test_extremize_finds_the_deep_minimum():
@@ -150,6 +161,17 @@ def test_extremize_finds_the_deep_minimum():
 def test_extremize_ghz_reaches_minus_four():
     result = mermin_extremize(ghz_state(), starts=32, seed=0)
     assert result.value == pytest.approx(-4.0, abs=1e-9)
+    # the -1 point has one direction on a pole, where phi is arbitrary; it is
+    # printed as theta exactly 0 or 180 with phi = 0
+    result = mermin_extremize(ghz_state(), starts=64, seed=7)
+    pole_rows = 0
+    for point in result.points:
+        assert point.stationary and point.gradient_norm <= 1e-6
+        for theta, phi in (point.angles_deg[:2], point.angles_deg[2:]):
+            if min(theta, 180.0 - theta) <= 1e-3:
+                assert theta in (0.0, 180.0) and phi == 0.0
+                pole_rows += 1
+    assert pole_rows >= 1
 
 
 def test_extremize_is_deterministic():
@@ -163,6 +185,8 @@ def test_extremize_is_deterministic():
 def test_extremize_validates_starts():
     with pytest.raises(ValueError):
         mermin_extremize(ghz_state(), starts=0)
+    with pytest.raises(ValueError):
+        mermin_extremize(ghz_state(), starts=4, seed=-1)
 
 
 def test_lr_constraint_check_covers_all_assignments():
@@ -173,12 +197,12 @@ def test_lr_constraint_check_covers_all_assignments():
 
 
 def test_inclusive_range_endpoints():
-    assert np.array_equal(inclusive_range(0.0, 180.0, 30.0), np.arange(0.0, 181.0, 30.0))
-    assert inclusive_range(85.0, 87.0, 0.01).size == 201
+    assert np.array_equal(delta_range(0.0, 180.0, 30.0), np.arange(0.0, 181.0, 30.0))
+    assert delta_range(85.0, 87.0, 0.01).size == 201
     with pytest.raises(ValueError):
-        inclusive_range(0.0, 10.0, 0.0)
+        delta_range(0.0, 10.0, 0.0)
     with pytest.raises(ValueError):
-        inclusive_range(10.0, 0.0, 1.0)
+        delta_range(10.0, 0.0, 1.0)
 
 
 def test_delta_sweep_matches_closed_form():

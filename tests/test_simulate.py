@@ -44,6 +44,12 @@ def test_input_validation():
         simulate_depression(0.5, 0.4, cap=0)
     with pytest.raises(ValueError):
         run_batch(0.5, 0.4, runs=0)
+    with pytest.raises(ValueError):
+        simulate_depression(0.5, 0.4, seed=-1)
+    with pytest.raises(ValueError):
+        run_batch(0.5, 0.4, runs=3, seed=-1)
+    with pytest.raises(ValueError):
+        run_batch(0.5, 0.4, runs=3, workers=0)
 
 
 def test_equal_probabilities_never_cross():

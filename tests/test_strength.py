@@ -45,6 +45,11 @@ def test_info_distance_domain_errors():
         info_distance(0.5, 1.0)
     with pytest.raises(ValueError):
         info_distance(1.2, 0.5)
+    for r in (math.nan, math.inf, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            info_distance(0.5, r)
+    with pytest.raises(ValueError):
+        info_distance(0.0, -0.1)
     # matching endpoints are fine
     assert info_distance(0.0, 0.0) == 0.0
     assert info_distance(1.0, 1.0) == 0.0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from triphoton import (
     reduced_density,
     tensor3,
 )
+from triphoton.tensor import pauli_tensor
 
 
 def test_pure_state_rejects_non_power_of_two():
@@ -138,6 +141,21 @@ def test_bloch_observable_properties():
         assert np.abs(eig - [-1.0, 1.0]).max() < 1e-12
     with pytest.raises(ValueError):
         bloch_observable((1.0, 1.0, 0.0))
+
+
+def test_pauli_tensor_matches_dense_kronecker_products():
+    rng = np.random.default_rng(43)
+    for _ in range(3):
+        amp = oracles.random_state(rng)
+        corr = pauli_tensor(PureState(amp))
+        assert corr.shape == (4, 4, 4)
+        for i, j, k in itertools.product(range(4), repeat=3):
+            expected = oracles.dense_pauli_expectation(amp, i, j, k)
+            assert corr[i, j, k] == pytest.approx(expected, abs=1e-12)
+    with pytest.raises(ValueError):
+        pauli_tensor(PureState(2.0 * amp))
+    with pytest.raises(ValueError):
+        pauli_tensor(PureState(np.array([1.0, 0.0, 0.0, 0.0])))
 
 
 def test_local_operator_unitarity_flag():
