@@ -28,7 +28,7 @@ def main():
     print(f"crossed at trial {run.crossing_trial}\n")
 
     print("== a thousand runs ==")
-    batch = run_batch(q, r, runs=1000, seed=0, workers=4)
+    batch = run_batch(q, r, runs=1000, seed=0)
     crossings = batch.crossing_trials()
     print(f"median {np.median(crossings):.0f}, "
           f"quartiles [{np.percentile(crossings, 25):.0f}, "

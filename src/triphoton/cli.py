@@ -5,8 +5,9 @@ amplitudes for a geometry, `tangle-scan` maps the entanglement landscape,
 `mermin extremize`/`mermin sweep` drive the Bell-type analysis, `strength
 table`/`strength sweep` report trials-to-refute, and `simulate` plays the
 likelihood-ratio game. Every command writes csv (default) or json, to
-stdout or to --output, and is deterministic for fixed arguments: rerunning
-with any --workers value yields byte-identical output.
+stdout or to --output, and is deterministic for fixed arguments. --workers
+(or TRIPHOTON_WORKERS) is validated but has no effect: every command runs
+serially.
 
 Exit codes: 0 success, 2 invalid arguments or values, 3 infeasible geometry.
 """
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         metavar="N",
-        help=f"thread count for parallel work (default: ${_WORKERS_ENV} or 1)",
+        help=f"no effect, kept for compatibility; must be >= 1 (default: ${_WORKERS_ENV} or 1)",
     )
 
     parser = argparse.ArgumentParser(

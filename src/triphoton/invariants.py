@@ -9,32 +9,34 @@ decay state, and matches the expanded-polynomial oracle term by term.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kinematics import DecayGeometry
 from .serialize import ScanGrid
-from .states import ortho_state
+from .states import ortho_amplitudes, ortho_state
 from .tensor import PureState, _require_normalized, reduced_density
 
 _EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-# Cells per parallel chunk of the scan. Fixed regardless of worker count so
-# the floating-point work per cell is identical however the grid is split.
+# party A epsilons pair copies (1,2) and (3,4), party B the same,
+# party C pairs (1,3) and (2,4); the asymmetric third pairing is load-bearing
+_CONTRACTION = "...aep,...bfq,...cgr,...dhs,ab,cd,ef,gh,pr,qs->..."
+# the pairwise order einsum_path(optimize=True) picks for a batch of states;
+# fixed so a state's value does not depend on the size of its batch
+_CONTRACTION_PATH = ["einsum_path", (0, 4), (0, 4), (6, 7), (4, 6),
+                     (0, 5), (0, 1), (0, 2), (1, 2), (0, 1)]
+
+# Rows per scan chunk: bounds the memory of one batched contraction.
 _SCAN_CHUNK_ROWS = 32
 
 
-def _epsilon_contraction(t: np.ndarray) -> complex:
-    # party A epsilons pair copies (1,2) and (3,4), party B the same,
-    # party C pairs (1,3) and (2,4); the asymmetric third pairing is load-bearing
-    return complex(
-        np.einsum(
-            "aep,bfq,cgr,dhs,ab,cd,ef,gh,pr,qs->",
-            t, t, t, t, _EPS, _EPS, _EPS, _EPS, _EPS, _EPS,
-        )
-    )
+def _tangle(t: np.ndarray) -> np.ndarray:
+    """Tangle of every normalized amplitude tensor in a (..., 2, 2, 2) stack."""
+    e = _EPS
+    contraction = np.einsum(_CONTRACTION, t, t, t, t, e, e, e, e, e, e, optimize=_CONTRACTION_PATH)
+    return np.abs(contraction) / 2.0
 
 
 def tangle(state: PureState) -> float:
@@ -42,7 +44,7 @@ def tangle(state: PureState) -> float:
     if state.n_qubits != 3:
         raise ValueError("tangle is defined here for three-qubit states")
     _require_normalized(state)
-    return abs(_epsilon_contraction(state.tensor)) / 2.0
+    return float(_tangle(state.tensor))
 
 
 @dataclass(frozen=True)
@@ -75,48 +77,29 @@ def _scan_chunk(theta12: np.ndarray, theta13: np.ndarray) -> np.ndarray:
     t13 = theta13[None, :]
     t23 = 360.0 - t12 - t13
     feasible = (t12 < 180.0) & (t13 < 180.0) & (t23 > 0.0) & (t23 < 180.0)
-
-    shape = (theta12.size, theta13.size)
-    w12 = np.broadcast_to(1.0 - np.cos(np.radians(t12)), shape)
-    w13 = np.broadcast_to(1.0 - np.cos(np.radians(t13)), shape)
-    w23 = 1.0 - np.cos(np.radians(t12 + t13))
-    t = np.zeros(shape + (2, 2, 2))
-    t[..., 0, 0, 1] = w12
-    t[..., 1, 1, 0] = w12
-    t[..., 0, 1, 0] = w13
-    t[..., 1, 0, 1] = w13
-    t[..., 1, 0, 0] = w23
-    t[..., 0, 1, 1] = w23
-    norm = np.sqrt(np.einsum("xyabc,xyabc->xy", t, t))
-    t /= np.where(norm == 0.0, 1.0, norm)[..., None, None, None]
-    contraction = np.einsum(
-        "xyaep,xybfq,xycgr,xydhs,ab,cd,ef,gh,pr,qs->xy",
-        t, t, t, t, _EPS, _EPS, _EPS, _EPS, _EPS, _EPS,
-        optimize=True,
+    # pair weights 1 - khat_i . khat_j = 1 - cos(theta_ij), theta23 = 360 - t12 - t13
+    t = ortho_amplitudes(
+        1.0 - np.cos(np.radians(t12)),
+        1.0 - np.cos(np.radians(t13)),
+        1.0 - np.cos(np.radians(t12 + t13)),
+        0,
     )
-    return np.where(feasible, np.abs(contraction) / 2.0, 0.0)
+    return np.where(feasible, _tangle(t), 0.0)
 
 
 def tangle_scan(step_deg: float = 1.0, workers: int | None = None) -> ScanGrid:
     """Tangle of the spin_z = 0 decay state over the (theta12, theta13) grid.
 
     The grid runs from step_deg to 360 - step_deg on both axes. Feasible
-    cells hold tangle(ortho_state(geometry, 0)); infeasible cells are exactly
-    0. The grid is evaluated in fixed-size row chunks, optionally spread over
-    `workers` threads; the chunking is independent of the worker count, so
-    the result is identical for any value of `workers`.
+    cells hold the tangle of the spin_z = 0 decay state; infeasible cells
+    are exactly 0. `workers` is validated (>= 1) and otherwise ignored: the
+    grid is computed serially, in row chunks that bound memory.
     """
     axis = _scan_axis(float(step_deg))
-    chunks = [axis[i : i + _SCAN_CHUNK_ROWS] for i in range(0, axis.size, _SCAN_CHUNK_ROWS)]
     if workers is not None and int(workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    n_workers = 1 if workers is None else int(workers)
-    if n_workers == 1:
-        parts = [_scan_chunk(chunk, axis) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(lambda c: _scan_chunk(c, axis), chunks))
-    values = np.vstack(parts)
+    rows = range(0, axis.size, _SCAN_CHUNK_ROWS)
+    values = np.vstack([_scan_chunk(axis[i : i + _SCAN_CHUNK_ROWS], axis) for i in rows])
     return ScanGrid(
         axis_names=("theta12_deg", "theta13_deg"),
         axes=(axis, axis.copy()),

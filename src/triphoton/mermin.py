@@ -224,8 +224,7 @@ def mermin_extremize(state: PureState, starts: int = 64, seed: int = 0) -> Mermi
     clusters them by value, and returns the best minimum found. The `points`
     field carries one representative per distinct stationary value, best
     first; each carries its exact gradient norm and a stationarity flag
-    (norm <= 1e-6). Deterministic for fixed (starts, seed) and independent
-    of thread count.
+    (norm <= 1e-6). Deterministic for fixed (starts, seed).
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")

@@ -6,24 +6,24 @@ ratio drifts downward at K(q, r) digits per trial on average, and a run ends
 when it has fallen past the target exponent or hits the trial cap.
 
 Randomness uses counter-based Philox streams keyed by (seed, run_index), so
-every run is reproducible in isolation and batches are identical no matter
-how work is split across threads.
+every run is reproducible in isolation and a batch is the same whatever
+order its runs are computed in.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .serialize import Table
-from .strength import info_distance
+from .strength import _require_target, info_distance
 from .tensor import PureState, _unit_vector, pauli_tensor
 
-# Trials are drawn in fixed-size blocks so the random stream consumed for a
-# given (seed, run_index) never depends on the cap or on scheduling.
-_BLOCK = 4096
+# Trials are drawn in blocks that start small and double, so a short run
+# draws little. A Philox stream yields the same values however its draws are
+# split, so the trials of a (seed, run_index) never depend on the blocking.
+_FIRST_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,7 @@ def simulate_depression(
     if not (0.0 < r < 1.0) and r != q:
         # r at an endpoint is only playable when q matches it exactly
         raise ValueError(f"model probability r = {r} forbids possible outcomes")
-    if target_exponent <= 0.0:
-        raise ValueError(f"target_exponent must be positive, got {target_exponent}")
+    _require_target(target_exponent)
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     if seed < 0:
@@ -80,13 +79,14 @@ def simulate_depression(
 
     acc = 0.0
     done = 0
+    block = _FIRST_BLOCK
     crossing: int | None = None
     pieces: list[np.ndarray] = []
     while done < cap:
-        block = rng.random(_BLOCK)  # always a full block; see _BLOCK note
-        take = min(_BLOCK, cap - done)
-        steps = np.where(block[:take] < q, -up, -dn)
-        partial = acc + np.cumsum(steps)
+        take = min(block, cap - done)
+        steps = np.where(rng.random(take) < q, -up, -dn)
+        steps[0] += acc  # one sequential sum, however the draws are blocked
+        partial = np.cumsum(steps)
         if keep_trajectory:
             pieces.append(partial)
         hits = np.nonzero(partial <= target)[0]
@@ -96,8 +96,9 @@ def simulate_depression(
             if keep_trajectory:
                 pieces[-1] = partial[: hits[0] + 1]
             break
-        acc = float(partial[-1]) if take else acc
+        acc = float(partial[-1])
         done += take
+        block *= 2
 
     trajectory = None
     if keep_trajectory:
@@ -151,22 +152,18 @@ def run_batch(
 ) -> SimulationBatch:
     """Independent runs indexed 0..runs-1, each on its own Philox substream.
 
-    The result is ordered by run index and is byte-identical for any worker
-    count, because the substream key is (seed, run_index) alone.
+    The result is ordered by run index. `workers` is validated (>= 1) and
+    otherwise ignored: the runs are computed serially, and each depends on
+    its substream key (seed, run_index) alone.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    job = lambda i: simulate_depression(
-        q, r, target_exponent=target_exponent, cap=cap, seed=seed, run_index=i
-    )
-    indices = range(runs)
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, indices))
-    else:
-        results = [job(i) for i in indices]
+    results = [
+        simulate_depression(q, r, target_exponent=target_exponent, cap=cap, seed=seed, run_index=i)
+        for i in range(runs)
+    ]
     return SimulationBatch(runs=tuple(results))
 
 

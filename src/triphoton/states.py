@@ -179,28 +179,36 @@ def _pair_weights(geometry: DecayGeometry) -> tuple[float, float, float]:
     )
 
 
-def ortho_state(geometry: DecayGeometry, spin_z: int = 0) -> PureState:
-    """Three-photon state of the spin-1 decay for one spin projection.
+def ortho_amplitudes(w12, w13, w23, spin_z: int = 0) -> np.ndarray:
+    """Normalized real amplitudes of the spin-1 decay state, shape (..., 2, 2, 2).
 
-    For spin_z = 0 the unnormalized amplitudes are (1 - khat_1 . khat_2) on
-    |++-> and |--+>, (1 - khat_1 . khat_3) on |+-+> and |-+->, and
-    (1 - khat_2 . khat_3) on |-++> and |+-->, all with plus signs. For
-    spin_z = +1 or -1 the second member of each pair picks up a minus sign.
-    The returned state is normalized.
+    w_ij is the pair weight 1 - khat_i . khat_j; the weights broadcast
+    against each other, so arrays of them give a stack of states. For
+    spin_z = 0 the weights sit with plus signs on |++-> and |--+> (w12),
+    |+-+> and |-+-> (w13), and |-++> and |+--> (w23). For spin_z = +1 or -1
+    the second member of each pair picks up a minus sign.
     """
     if spin_z not in (0, +1, -1):
         raise ValueError(f"spin_z must be 0, +1 or -1, got {spin_z}")
-    _require_feasible(geometry)
-    w12, w13, w23 = _pair_weights(geometry)
     sign = 1.0 if spin_z == 0 else -1.0
-    amp = np.zeros(8, dtype=complex)
-    amp[0b001] = w12
-    amp[0b110] = sign * w12
-    amp[0b010] = w13
-    amp[0b101] = sign * w13
-    amp[0b100] = w23
-    amp[0b011] = sign * w23
-    return PureState(amp).normalized()
+    t = np.zeros(np.broadcast_shapes(np.shape(w12), np.shape(w13), np.shape(w23)) + (2, 2, 2))
+    t[..., 0, 0, 1] = w12
+    t[..., 1, 1, 0] = sign * w12
+    t[..., 0, 1, 0] = w13
+    t[..., 1, 0, 1] = sign * w13
+    t[..., 1, 0, 0] = w23
+    t[..., 0, 1, 1] = sign * w23
+    t /= np.sqrt(np.einsum("...abc,...abc->...", t, t))[..., None, None, None]
+    return t
+
+
+def ortho_state(geometry: DecayGeometry, spin_z: int = 0) -> PureState:
+    """Three-photon state of the spin-1 decay for one spin projection (see ortho_amplitudes)."""
+    _require_feasible(geometry)
+    # Weights from dot products here, from 1 - cos(opening angle) in the tangle
+    # scan. The cosine here too would change the printed digits of a few
+    # integer-degree states, and neither formula rounds correctly in all of them.
+    return PureState(ortho_amplitudes(*_pair_weights(geometry), spin_z).ravel())
 
 
 def spin_projection_state(geometry: DecayGeometry, spin_z: int = 0) -> PureState:
@@ -259,6 +267,8 @@ def delta_range(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarra
     """Deltas start, start + step, ... up to and including stop (within 1e-9
     slack), every one inside the family's [0, 180] degree domain."""
     start, stop, step = float(start_deg), float(stop_deg), float(step_deg)
+    if not np.isfinite((start, stop, step)).all():
+        raise ValueError(f"delta range must be finite, got {start}:{stop}:{step}")
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     if stop < start:

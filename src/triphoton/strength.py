@@ -66,14 +66,18 @@ def _info_distance_extended(q: float, r: float) -> float:
     return info_distance(q, r)
 
 
+def _require_target(target_exponent: float) -> None:
+    if not (0.0 < target_exponent < math.inf):  # NaN fails every comparison
+        raise ValueError(f"target_exponent must be finite and positive, got {target_exponent}")
+
+
 def trials_to_depress(q: float, r: float, target_exponent: float = 4.0) -> float:
     """Expected trials for the likelihood ratio to fall below 10^-target.
 
     Events occur with probability q; the model under test says r. Returns
     inf when the distributions coincide (K = 0).
     """
-    if target_exponent <= 0.0:
-        raise ValueError(f"target_exponent must be positive, got {target_exponent}")
+    _require_target(target_exponent)
     k = info_distance(q, r)
     if k == 0.0:
         return math.inf
@@ -203,8 +207,7 @@ def best_lr_model(q1_or_model, q2: float | None = None, target_exponent: float =
             raise ValueError("q2 is required when q1 is a bare probability")
         model = EventModel(float(q1_or_model), float(q2))
     q1, q2v = model.q1, model.q2
-    if target_exponent <= 0.0:
-        raise ValueError(f"target_exponent must be positive, got {target_exponent}")
+    _require_target(target_exponent)
 
     if not model.violates:
         return StrengthReport(

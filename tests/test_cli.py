@@ -223,6 +223,15 @@ def test_mermin_sweep_bad_range_exits_2(capsys):
     # generated points must stay inside [0, 180]
     assert run_cli(capsys, ["mermin", "sweep", "--delta", "0:190:95"])[0] == 2
     assert run_cli(capsys, ["mermin", "sweep", "--delta", "-30:180:30"])[0] == 2
+    # non-finite bounds or steps are rejected with one line, not a traceback
+    for command, delta in (
+        ("mermin", "0:inf:1"), ("mermin", "nan:180:1"), ("mermin", "0:180:nan"),
+        ("mermin", "0:180:inf"), ("strength", "80:inf:1"),
+    ):
+        code, out, err = run_cli(capsys, [command, "sweep", "--delta", delta])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: delta range must be finite") and err.count("\n") == 1
 
 
 def test_strength_table_golden(capsys):
@@ -269,6 +278,14 @@ def test_simulate_argument_conflicts_exit_2(capsys):
     code, _, err = run_cli(capsys, ["simulate", "--q", "0.5", "--r", "0.4", "--seed", "-1"])
     assert code == 2
     assert "seed must be >= 0" in err
+    for mode in (["--q", "0.2", "--r", "0.3"], ["--delta", "120"]):
+        for bad in ("nan", "inf", "0"):
+            code, out, err = run_cli(
+                capsys, ["simulate", *mode, "--runs", "2", "--target-exponent", bad]
+            )
+            assert code == 2
+            assert out == ""
+            assert "target_exponent must be finite and positive" in err
 
 
 def test_simulate_nonviolating_delta_exits_2(capsys):

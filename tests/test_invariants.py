@@ -18,14 +18,22 @@ from triphoton import (
     tangle_scan,
     tensor3,
 )
+from triphoton.invariants import _tangle
+from triphoton.states import ortho_amplitudes
 
 
 def test_tangle_matches_expanded_polynomial_oracle():
     rng = np.random.default_rng(60)
-    for _ in range(20):
-        s = PureState(oracles.random_state(rng))
+    states = [PureState(oracles.random_state(rng)) for _ in range(20)]
+    for s in states:
         expected = abs(oracles.cayley_hyperdeterminant(s.amplitudes))
         assert tangle(s) == pytest.approx(expected, abs=1e-12)
+    # the batched kernel behind the scan agrees with the per-state tangle
+    stack = np.stack([s.tensor for s in states]).reshape(4, 5, 2, 2, 2)
+    batched = _tangle(stack).ravel()
+    assert batched.shape == (20,)
+    for value, s in zip(batched, states):
+        assert value == pytest.approx(tangle(s), abs=1e-15)
 
 
 def test_tangle_reference_states():
@@ -133,6 +141,14 @@ def test_tangle_scan_against_pointwise_evaluation():
             t13 = float(grid.axes[1][j])
             expected = geometry_tangle(geometry_from_angles(t12, t13))
             assert values[i, j] == pytest.approx(expected, abs=1e-12)
+    # every feasible cell is the tangle of the ortho_amplitudes state
+    # at the scan's weights 1 - cos(opening angle)
+    w = lambda deg: 1.0 - np.cos(np.radians(deg))
+    for i, t12 in enumerate(grid.axes[0]):
+        for j, t13 in enumerate(grid.axes[1]):
+            if geometry_from_angles(float(t12), float(t13)).feasible:
+                state = PureState(ortho_amplitudes(w(t12), w(t13), w(t12 + t13), 0).ravel())
+                assert values[i, j] == tangle(state)
 
 
 def test_tangle_scan_maximum_and_infeasible_zeros():

@@ -38,8 +38,9 @@ def test_input_validation():
         simulate_depression(0.5, 0.0)
     with pytest.raises(ValueError):
         simulate_depression(0.5, 1.0)
-    with pytest.raises(ValueError):
-        simulate_depression(0.5, 0.4, target_exponent=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="target_exponent"):
+            simulate_depression(0.5, 0.4, target_exponent=bad)
     with pytest.raises(ValueError):
         simulate_depression(0.5, 0.4, cap=0)
     with pytest.raises(ValueError):
@@ -90,6 +91,20 @@ def test_cap_independence_of_the_stream():
     short = simulate_depression(0.4, 0.3, cap=700, seed=6, target_exponent=50.0,
                                 keep_trajectory=True)
     assert np.array_equal(long.trajectory[:700], short.trajectory)
+
+
+def test_long_trajectory_is_one_sequential_sum():
+    # past 4096 trials the running log10 likelihood ratio is still one cumsum
+    # over the run's Philox stream, however the draws are blocked
+    q, r, cap = 0.4, 0.3, 9000
+    run = simulate_depression(q, r, target_exponent=1e3, cap=cap, seed=6, run_index=2,
+                              keep_trajectory=True)
+    assert run.capped and run.trajectory.size == cap
+    rng = np.random.Generator(np.random.Philox(key=[6, 2]))
+    up, dn = math.log10(q / r), math.log10((1 - q) / (1 - r))
+    expected = np.cumsum(np.where(rng.random(cap) < q, -up, -dn))
+    assert np.array_equal(run.trajectory, expected)
+    assert run.final_log10 == expected[-1]
 
 
 def test_batch_ordering_and_worker_independence():

@@ -63,8 +63,9 @@ def test_trials_to_depress():
     assert trials_to_depress(1.0, 0.75, target_exponent=8.0) == pytest.approx(
         8.0 / k, abs=1e-12
     )
-    with pytest.raises(ValueError):
-        trials_to_depress(0.5, 0.25, target_exponent=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="target_exponent"):
+            trials_to_depress(0.5, 0.25, target_exponent=bad)
 
 
 def test_depressing_factor_identities():
@@ -171,8 +172,9 @@ def test_best_lr_model_accepts_event_model():
         best_lr_model(model, 0.5)
     with pytest.raises(ValueError):
         best_lr_model(0.5)
-    with pytest.raises(ValueError):
-        best_lr_model(0.5, 1.0, target_exponent=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="target_exponent"):
+            best_lr_model(0.5, 1.0, target_exponent=bad)
 
 
 def test_event_probabilities_for_reference_states():
