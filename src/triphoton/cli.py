@@ -112,7 +112,7 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_tangle_scan(args) -> int:
-    grid = tangle_scan(step_deg=args.step, workers=_resolve_workers(args))
+    grid = tangle_scan(step_deg=args.step, workers=args.workers)
     text = grid.to_json() if args.format == "json" else grid.to_csv()
     return _emit(args, text)
 
@@ -185,7 +185,7 @@ def _cmd_simulate(args) -> int:
         runs=args.runs,
         seed=args.seed,
         target_exponent=args.target_exponent,
-        workers=_resolve_workers(args),
+        workers=args.workers,
     )
     table = batch.to_table()
     text = table.to_json() if args.format == "json" else table.to_csv()
@@ -312,6 +312,7 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
+        args.workers = _resolve_workers(args)
         return args.handler(args)
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,15 +6,17 @@ primed direction shared by all three. The Mermin combination is evaluated as
 the full four-term sum E(n',n,n) + E(n,n',n) + E(n,n,n') - E(n',n',n'),
 which reduces to 3E - E' on permutation-symmetric states and respects the
 |M| <= 2 product-state bound for asymmetric ones as well.
+
+scipy is imported on the first call of `minimize` (by `mermin_extremize`),
+not with the module; the extremizer's start points come from `_halton`.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from .serialize import ScanGrid
 from .states import delta_family_state, delta_range
@@ -176,6 +178,39 @@ class MerminResult:
     points: tuple["MerminResult", ...] = field(default=())
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, with scipy imported on the first call."""
+    from scipy import optimize
+
+    return optimize.minimize(*args, **kwargs)
+
+
+def _halton(n: int, seed: int) -> np.ndarray:
+    """First n points of the scrambled Halton sequence in [0, 1)^4.
+
+    Owen's randomized Halton (arXiv:1706.02808): bases 2, 3, 5, 7, each
+    radical-inverse digit mapped through its own random permutation. The
+    permutations are drawn in the order scipy.stats.qmc.Halton(d=4,
+    scramble=True, seed=seed) draws them, so the points equal scipy's bit
+    for bit.
+    """
+    rng = np.random.default_rng(seed)
+    index = np.arange(n)
+    columns = []
+    for base in (2, 3, 5, 7):
+        # one permutation per digit that still moves a double: base**-k > 2**-54
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q, v, b2r = index.copy(), np.zeros(n), 1.0 / base
+        for perm in perms:
+            v += perm[q % base] * b2r
+            q //= base
+            b2r /= base
+        columns.append(v)
+    return np.column_stack(columns)
+
+
 _STATIONARY_TOL = 1e-6  # gradient norm at or below which a point is stationary
 _POLE_TOL = 1e-6  # radians from a pole within which phi is arbitrary
 
@@ -234,10 +269,9 @@ def mermin_extremize(state: PureState, starts: int = 64, seed: int = 0) -> Mermi
     sym = _symmetrized(corr)
     fun = lambda x: _value_and_gradient(corr, sym, x)
 
-    sampler = qmc.Halton(d=4, scramble=True, seed=seed)
     lo = np.array([0.0, 0.0, 0.0, 0.0])
     hi = np.array([np.pi, 2.0 * np.pi, np.pi, 2.0 * np.pi])
-    x0s = qmc.scale(sampler.random(starts), lo, hi)
+    x0s = _halton(starts, seed) * (hi - lo) + lo
 
     found = []
     for x0 in x0s:

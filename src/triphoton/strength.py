@@ -11,7 +11,9 @@ the target log-odds exponent by that minimax distance. Both distances are
 convex in r1 along a saturating family, so the minimax is found by bounded
 scalar minimization.
 
-All information distances are in base-10 digits per trial.
+All information distances are in base-10 digits per trial. scipy is imported
+on the first call of `minimize_scalar` or `brentq` (by `best_lr_model`), not
+with the module.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .mermin import triple_expectation, yx_settings
 from .states import delta_family_state, delta_range
@@ -29,6 +30,20 @@ from .tensor import PureState, ghz_state
 #: Published benchmark for the two-photon singlet experiment, kept as a fixed
 #: reference row; it is not recomputed here.
 SINGLET_REFERENCE_TRIALS = 200.0
+
+
+def minimize_scalar(*args, **kwargs):
+    """scipy.optimize.minimize_scalar, with scipy imported on the first call."""
+    from scipy import optimize
+
+    return optimize.minimize_scalar(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    """scipy.optimize.brentq, with scipy imported on the first call."""
+    from scipy import optimize
+
+    return optimize.brentq(*args, **kwargs)
 
 
 def info_distance(q: float, r: float) -> float:

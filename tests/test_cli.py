@@ -1,7 +1,9 @@
 """Command-line interface tests: grammar, formats, exit codes, determinism."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +125,39 @@ def test_module_entrypoint_version():
     assert proc.stdout == "triphoton 0.1.0\n"
 
 
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import triphoton, triphoton.cli as cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0
+
+scipy_loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+run("state", "--geometry", "120,120")
+run("tangle-scan", "--step", "10")
+run("mermin", "sweep", "--delta", "0:180:30")
+before = scipy_loaded()
+run("mermin", "extremize", "--starts", "2")
+print(json.dumps({"before": before, "after": scipy_loaded()}))
+"""
+
+
+def test_scipy_loads_only_on_first_use():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["before"] == []
+    # the extremizer needs scipy.optimize; its start points need no scipy.stats
+    assert "scipy.optimize" in loaded["after"]
+    assert "scipy.stats" not in loaded["after"]
+
+
 def test_tangle_scan_identical_across_workers_and_reruns(capsys):
     runs = []
     for argv in (
@@ -156,12 +191,26 @@ def test_workers_env_junk_exits_2_unless_flag_overrides(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["tangle-scan", "--step", "10", "--workers", "2"])
     assert code == 0
     assert out
+    # every command validates the variable, not only the ones that take a count
+    monkeypatch.setenv("TRIPHOTON_WORKERS", "junk")
+    code, out, err = run_cli(capsys, ["strength", "table"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: TRIPHOTON_WORKERS must be an integer") and err.count("\n") == 1
 
 
 def test_workers_below_one_exits_2(capsys):
     code, _, err = run_cli(capsys, ["tangle-scan", "--step", "10", "--workers", "0"])
     assert code == 2
     assert "worker count" in err
+    for argv in (
+        ["state", "--geometry", "120,120", "--workers", "0"],
+        ["mermin", "sweep", "--delta", "0:180:30", "--workers", "-3"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: worker count must be >= 1") and err.count("\n") == 1
 
 
 def test_tangle_scan_step_validation(capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 import oracles
 from triphoton import (
@@ -18,6 +19,7 @@ from triphoton import (
     triple_expectation,
     yx_settings,
 )
+from triphoton.mermin import _halton
 from triphoton.states import delta_range
 
 
@@ -180,6 +182,17 @@ def test_extremize_is_deterministic():
     assert a.value == b.value
     assert a.angles_deg == b.angles_deg
     assert len(a.points) == len(b.points)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 5, 7, 42, 999, 123456, 2**31 - 1])
+def test_halton_starts_match_scipy_bit_for_bit(seed):
+    # the start points scipy's scrambled Halton gave before the extremizer
+    # had its own generator; seed=, not rng=, which draws another stream
+    lo = np.zeros(4)
+    hi = np.array([np.pi, 2.0 * np.pi, np.pi, 2.0 * np.pi])
+    for n in (1, 7, 32, 64, 200):
+        expected = qmc.scale(qmc.Halton(d=4, scramble=True, seed=seed).random(n), lo, hi)
+        assert np.array_equal(_halton(n, seed) * (hi - lo) + lo, expected)
 
 
 def test_extremize_validates_starts():
