@@ -9,23 +9,25 @@ stdout or to --output, and is deterministic for fixed arguments. --workers
 (or TRIPHOTON_WORKERS) is validated but has no effect: every command runs
 serially.
 
-Exit codes: 0 success, 2 invalid arguments or values, 3 infeasible geometry.
+Exit codes: 0 success, 2 invalid arguments or values (an unwritable
+--output included), 3 infeasible geometry.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from dataclasses import dataclass
 
 from . import __version__
 from .invariants import tangle_scan
-from .kinematics import FeasibilityError, geometry_from_angles
+from .kinematics import DecayGeometry, FeasibilityError, geometry_from_angles
 from .mermin import mermin_delta_sweep, mermin_extremize
-from .serialize import Table, format_number, rows_to_csv, _json_cell
+from .serialize import ScanGrid, Table, _cell, format_number, rows_to_csv
 from .simulate import run_batch
 from .states import delta_family_state, ortho_state
 from .strength import best_lr_model, event_probabilities, strength_delta_sweep, strength_table
-from .tensor import PureState, ghz_state
+from .tensor import PureState, _basis_label, ghz_state
 
 _WORKERS_ENV = "TRIPHOTON_WORKERS"
 
@@ -73,94 +75,85 @@ def _parse_range(text: str) -> tuple[float, float, float]:
     return float(parts[0]), float(parts[1]), float(parts[2])
 
 
-def _basis_label(index: int) -> str:
-    return "".join("-" if (index >> shift) & 1 else "+" for shift in (2, 1, 0))
-
-
-def _emit(args, text: str) -> int:
+def _emit(args, result) -> int:
+    """Write a command's result in its --format to --output or stdout; an
+    unwritable --output is a bad value (exit 2)."""
+    text = result.to_json() if args.format == "json" else result.to_csv()
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
     return 0
 
 
-def _cmd_state(args) -> int:
+@dataclass(frozen=True)
+class _StateReport:
+    """What `state` prints: the geometry, the spin branch and one
+    (basis, re, im) row per helicity basis ket."""
+
+    geometry: DecayGeometry
+    spin_z: int
+    rows: tuple
+
+    def to_csv(self) -> str:
+        return rows_to_csv(("basis", "amplitude_re", "amplitude_im"), self.rows)
+
+    def to_json(self) -> str:
+        amplitudes = ",\n".join(
+            f'    {{"basis": "{basis}", "re": {_cell(re, True)}, "im": {_cell(im, True)}}}'
+            for basis, re, im in self.rows
+        )
+        return (
+            f'{{\n  "theta12_deg": {_cell(self.geometry.theta12_deg, True)},\n'
+            f'  "theta13_deg": {_cell(self.geometry.theta13_deg, True)},\n'
+            f'  "spin_z": {self.spin_z},\n  "amplitudes": [\n{amplitudes}\n  ]\n}}\n'
+        )
+
+
+def _cmd_state(args) -> _StateReport:
     geometry = _parse_geometry(args.geometry)
     state = ortho_state(geometry, spin_z=args.sz)
-    entries = [
-        (_basis_label(i), amp.real, amp.imag) for i, amp in enumerate(state.amplitudes)
-    ]
-    if args.format == "json":
-        lines = ["{"]
-        lines.append(f'  "theta12_deg": {_json_cell(geometry.theta12_deg)},')
-        lines.append(f'  "theta13_deg": {_json_cell(geometry.theta13_deg)},')
-        lines.append(f'  "spin_z": {args.sz},')
-        lines.append('  "amplitudes": [')
-        for pos, (basis, re, im) in enumerate(entries):
-            comma = "," if pos < len(entries) - 1 else ""
-            lines.append(
-                f'    {{"basis": "{basis}", "re": {_json_cell(re)}, "im": {_json_cell(im)}}}{comma}'
-            )
-        lines.append("  ]")
-        lines.append("}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = rows_to_csv(("basis", "amplitude_re", "amplitude_im"), entries)
-    return _emit(args, text)
+    rows = tuple(
+        (_basis_label(i, state.n_qubits), a.real, a.imag) for i, a in enumerate(state.amplitudes)
+    )
+    return _StateReport(geometry, args.sz, rows)
 
 
-def _cmd_tangle_scan(args) -> int:
-    grid = tangle_scan(step_deg=args.step, workers=args.workers)
-    text = grid.to_json() if args.format == "json" else grid.to_csv()
-    return _emit(args, text)
+def _cmd_tangle_scan(args) -> ScanGrid:
+    return tangle_scan(step_deg=args.step, workers=args.workers)
 
 
-def _cmd_mermin_extremize(args) -> int:
+def _cmd_mermin_extremize(args) -> Table:
     state = _parse_state(args.state)
     result = mermin_extremize(state, starts=args.starts, seed=args.seed)
     rows = tuple(
         (p.value,) + p.angles_deg + (p.stationary, p.gradient_norm)
         for p in result.points
     )
-    table = Table(
-        column_names=(
-            "value",
-            "theta_deg",
-            "phi_deg",
-            "theta_prime_deg",
-            "phi_prime_deg",
-            "stationary",
-            "gradient_norm",
-        ),
+    return Table(
+        column_names=("value", "theta_deg", "phi_deg", "theta_prime_deg", "phi_prime_deg",
+                      "stationary", "gradient_norm"),
         rows=rows,
     )
-    text = table.to_json() if args.format == "json" else table.to_csv()
-    return _emit(args, text)
 
 
-def _cmd_mermin_sweep(args) -> int:
-    start, stop, step = _parse_range(args.delta)
-    grid = mermin_delta_sweep(start, stop, step)
-    text = grid.to_json() if args.format == "json" else grid.to_csv()
-    return _emit(args, text)
+def _cmd_mermin_sweep(args) -> ScanGrid:
+    return mermin_delta_sweep(*_parse_range(args.delta))
 
 
-def _cmd_strength_table(args) -> int:
-    table = strength_table()
-    text = table.to_json() if args.format == "json" else table.to_csv()
-    return _emit(args, text)
+def _cmd_strength_table(args) -> Table:
+    return strength_table()
 
 
-def _cmd_strength_sweep(args) -> int:
-    start, stop, step = _parse_range(args.delta)
-    grid = strength_delta_sweep(start, stop, step)
-    text = grid.to_json() if args.format == "json" else grid.to_csv()
-    return _emit(args, text)
+def _cmd_strength_sweep(args) -> ScanGrid:
+    return strength_delta_sweep(*_parse_range(args.delta))
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> Table:
     explicit = args.q is not None or args.r is not None
     if explicit and args.delta is not None:
         raise ValueError("pass either --q/--r or --delta, not both")
@@ -187,9 +180,7 @@ def _cmd_simulate(args) -> int:
         target_exponent=args.target_exponent,
         workers=args.workers,
     )
-    table = batch.to_table()
-    text = table.to_json() if args.format == "json" else table.to_csv()
-    return _emit(args, text)
+    return batch.to_table()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,7 +304,7 @@ def main(argv=None) -> int:
         return int(code) if code is not None else 0
     try:
         args.workers = _resolve_workers(args)
-        return args.handler(args)
+        return _emit(args, args.handler(args))
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

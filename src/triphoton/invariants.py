@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import DecayGeometry
+from .kinematics import DecayGeometry, _feasible
 from .serialize import ScanGrid
 from .states import ortho_amplitudes, ortho_state
 from .tensor import PureState, _require_normalized, reduced_density
@@ -30,6 +30,11 @@ _CONTRACTION_PATH = ["einsum_path", (0, 4), (0, 4), (6, 7), (4, 6),
 
 # Rows per scan chunk: bounds the memory of one batched contraction.
 _SCAN_CHUNK_ROWS = 32
+
+# Most points per scan axis: 4096**2 = 16.8M cells (steps down to about
+# 0.088 deg), i.e. 134 MB of values and about 0.7 GB of csv. A finer step is
+# refused before the axis is allocated.
+_MAX_SCAN_AXIS = 4096
 
 
 def _tangle(t: np.ndarray) -> np.ndarray:
@@ -68,6 +73,9 @@ def invariant_fingerprint(state: PureState) -> InvariantFingerprint:
 def _scan_axis(step_deg: float) -> np.ndarray:
     if not 0.0 < step_deg <= 10.0:
         raise ValueError(f"step must lie in (0, 10] degrees, got {step_deg}")
+    # np.arange's length is the ceiling of this; inf for a tiny step
+    if not (360.0 - step_deg) / step_deg <= _MAX_SCAN_AXIS:
+        raise ValueError(f"step {step_deg} deg gives more than {_MAX_SCAN_AXIS} points per axis")
     return np.arange(step_deg, 360.0, step_deg)
 
 
@@ -75,8 +83,6 @@ def _scan_chunk(theta12: np.ndarray, theta13: np.ndarray) -> np.ndarray:
     """Tangle values for a block of geometries, infeasible cells exactly 0."""
     t12 = theta12[:, None]
     t13 = theta13[None, :]
-    t23 = 360.0 - t12 - t13
-    feasible = (t12 < 180.0) & (t13 < 180.0) & (t23 > 0.0) & (t23 < 180.0)
     # pair weights 1 - khat_i . khat_j = 1 - cos(theta_ij), theta23 = 360 - t12 - t13
     t = ortho_amplitudes(
         1.0 - np.cos(np.radians(t12)),
@@ -84,7 +90,7 @@ def _scan_chunk(theta12: np.ndarray, theta13: np.ndarray) -> np.ndarray:
         1.0 - np.cos(np.radians(t12 + t13)),
         0,
     )
-    return np.where(feasible, _tangle(t), 0.0)
+    return np.where(_feasible(t12, t13), _tangle(t), 0.0)
 
 
 def tangle_scan(step_deg: float = 1.0, workers: int | None = None) -> ScanGrid:

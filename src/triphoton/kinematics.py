@@ -16,6 +16,15 @@ class FeasibilityError(ValueError):
     """Raised when a geometry cannot come from a physical three-photon decay."""
 
 
+def _feasible(theta12, theta13):
+    """Elementwise: the openings theta12, theta13 and 360 - theta12 - theta13
+    all lie strictly inside (0, 180) deg. Takes floats or broadcasting arrays."""
+    ok = True
+    for t in (theta12, theta13, 360.0 - theta12 - theta13):
+        ok = ok & (0.0 < t) & (t < 180.0)
+    return ok
+
+
 @dataclass(frozen=True)
 class DecayGeometry:
     """Planar three-photon configuration fixed by two opening angles.
@@ -48,7 +57,7 @@ class DecayGeometry:
     @property
     def feasible(self) -> bool:
         """True iff all three pairwise openings lie strictly inside (0, 180) deg."""
-        return all(0.0 < t < 180.0 for t in (self.theta12_deg, self.theta13_deg, self.theta23_deg))
+        return bool(_feasible(self.theta12_deg, self.theta13_deg))
 
     @property
     def azimuths_deg(self) -> tuple[float, float, float]:
@@ -74,6 +83,15 @@ def mercedes_geometry() -> DecayGeometry:
     return DecayGeometry(120.0, 120.0)
 
 
+def _require_feasible(geometry: DecayGeometry) -> None:
+    if not geometry.feasible:
+        raise FeasibilityError(
+            f"geometry (theta12={geometry.theta12_deg}, theta13={geometry.theta13_deg}) "
+            "is not reachable by a physical three-photon decay: its openings "
+            f"{geometry.pair_openings_deg} are not all inside (0, 180) deg"
+        )
+
+
 def photon_energies(geometry: DecayGeometry, total: float = 2.0) -> np.ndarray:
     """Photon energies in units of the electron mass, summing to `total`.
 
@@ -84,11 +102,7 @@ def photon_energies(geometry: DecayGeometry, total: float = 2.0) -> np.ndarray:
     Raises FeasibilityError for geometries with any opening at or beyond
     180 deg, where some energy would be nonpositive.
     """
-    if not geometry.feasible:
-        raise FeasibilityError(
-            f"geometry (theta12={geometry.theta12_deg}, theta13={geometry.theta13_deg}) "
-            f"has openings {geometry.pair_openings_deg} outside (0, 180) deg"
-        )
+    _require_feasible(geometry)
     sines = np.sin(np.radians(geometry.pair_openings_deg))
     out = total * sines / sines.sum()
     out.setflags(write=False)

@@ -7,9 +7,9 @@ spelled "inf" in CSV and become null in JSON (JSON has no infinity literal).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from json import dumps
 from typing import Iterable
 
 import numpy as np
@@ -27,45 +27,35 @@ def format_number(value: float) -> str:
     return f"{v:.12g}"
 
 
-def _csv_cell(value) -> str:
+def _cell(value, json: bool) -> str:
+    """One csv or json cell. Booleans are true/false in both; None is an
+    empty csv cell and json null; inf and nan are spelled out in csv and
+    null in json; strings are json-quoted."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if value is None:
-        return ""
+        return "null" if json else ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format_number(value)
-    return str(value)
-
-
-def _json_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isinf(v) or math.isnan(v):
+        if json and not math.isfinite(value):
             return "null"
-        return format_number(v)
-    return json.dumps(str(value))
+        return format_number(value)
+    return dumps(str(value)) if json else str(value)
 
 
 def rows_to_csv(column_names: Iterable[str], rows: Iterable[tuple]) -> str:
     lines = [",".join(column_names)]
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+        lines.append(",".join(_cell(v, False) for v in row))
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(column_names: Iterable[str], rows: Iterable[tuple]) -> str:
-    names = [json.dumps(str(n)) for n in column_names]
+    names = [dumps(str(n)) for n in column_names]
     body = []
     for row in rows:
-        fields = ", ".join(f"{n}: {_json_cell(v)}" for n, v in zip(names, row))
+        fields = ", ".join(f"{n}: {_cell(v, True)}" for n, v in zip(names, row))
         body.append("  {" + fields + "}")
     if not body:
         return "[]\n"

@@ -17,13 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import (
-    DecayGeometry,
-    FeasibilityError,
-    mercedes_geometry,
-    polarization_vector,
-)
-from .tensor import PAULI, PureState, apply_local, tensor3
+from .kinematics import DecayGeometry, _require_feasible, mercedes_geometry, polarization_vector
+from .tensor import PAULI, PureState, _basis_index, _basis_label, apply_local, tensor3
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -33,14 +28,6 @@ def _check_helicities(helicities) -> tuple[int, ...]:
     if any(h not in (+1, -1) for h in hs):
         raise ValueError(f"helicities must be +1 or -1, got {helicities}")
     return hs
-
-
-def _require_feasible(geometry: DecayGeometry) -> None:
-    if not geometry.feasible:
-        raise FeasibilityError(
-            f"geometry (theta12={geometry.theta12_deg}, theta13={geometry.theta13_deg}) "
-            "is not reachable by a physical three-photon decay"
-        )
 
 
 def amplitude_polarization(phi_deg: float, helicity: int) -> np.ndarray:
@@ -146,20 +133,12 @@ class HelicityAmplitudeTable:
         return self.amplitudes[_basis_index(hs)]
 
 
-def _basis_index(helicities: tuple[int, ...]) -> int:
-    # helicity + is bit 0, party A most significant
-    index = 0
-    for h in helicities:
-        index = (index << 1) | (0 if h == +1 else 1)
-    return index
-
-
 def helicity_table(geometry: DecayGeometry) -> HelicityAmplitudeTable:
     """Vector and matrix amplitudes for all eight helicity assignments."""
     _require_feasible(geometry)
     entries = []
     for index in range(8):
-        hs = tuple(+1 if (index >> shift) & 1 == 0 else -1 for shift in (2, 1, 0))
+        hs = tuple(+1 if c == "+" else -1 for c in _basis_label(index, 3))
         entries.append(
             HelicityAmplitude(
                 helicities=hs,
@@ -263,9 +242,16 @@ def delta_family_state(delta_deg: float) -> PureState:
     return PureState(amp)
 
 
+# Most rows a delta range may have. A row costs about 0.15 ms in the Mermin
+# sweep and 1 ms in the strength sweep, so this bounds a sweep to minutes
+# and its deltas to 8 MB; a finer range is refused before allocating.
+_MAX_DELTA_ROWS = 1_000_000
+
+
 def delta_range(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarray:
     """Deltas start, start + step, ... up to and including stop (within 1e-9
-    slack), every one inside the family's [0, 180] degree domain."""
+    slack), every one inside the family's [0, 180] degree domain, and at
+    most _MAX_DELTA_ROWS of them."""
     start, stop, step = float(start_deg), float(stop_deg), float(step_deg)
     if not np.isfinite((start, stop, step)).all():
         raise ValueError(f"delta range must be finite, got {start}:{stop}:{step}")
@@ -273,7 +259,10 @@ def delta_range(start_deg: float, stop_deg: float, step_deg: float) -> np.ndarra
         raise ValueError(f"step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"range end {stop} is below start {start}")
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9  # may overflow to inf for a tiny step
+    if not steps < _MAX_DELTA_ROWS:
+        raise ValueError(f"delta range {start}:{stop}:{step} has more than {_MAX_DELTA_ROWS} rows")
+    n = int(steps) + 1
     deltas = start + step * np.arange(n)
     if not (0.0 <= deltas[0] and deltas[-1] <= 180.0 + 1e-9):
         raise ValueError("delta range must stay within [0, 180] degrees")

@@ -19,7 +19,20 @@ PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 # identity first, so index 0 of each correlation-tensor axis is "not measured"
 _SIGMA4 = np.stack((np.eye(2, dtype=complex),) + PAULI)
 
-_BIT_FOR_HELICITY = {"+": 0, "-": 1}
+
+def _basis_index(helicities) -> int:
+    """Flat basis index of a helicity ket given as '+-+' or (+1, -1, +1)."""
+    index = 0
+    for h in helicities:
+        if h not in ("+", "-", +1, -1):
+            raise ValueError(f"bad helicity {h!r} in {helicities!r}")
+        index = (index << 1) | (h in ("-", -1))
+    return index
+
+
+def _basis_label(index: int, n_qubits: int) -> str:
+    """Helicity string of a flat basis index; the inverse of _basis_index."""
+    return "".join("-" if (index >> shift) & 1 else "+" for shift in reversed(range(n_qubits)))
 
 
 def _frozen_array(values, dtype=complex) -> np.ndarray:
@@ -73,12 +86,9 @@ class PureState:
 
     def amplitude(self, label: str) -> complex:
         """Amplitude of a helicity basis ket given as a string such as '++-'."""
-        if len(label) != self.n_qubits or any(c not in _BIT_FOR_HELICITY for c in label):
+        if len(label) != self.n_qubits:
             raise ValueError(f"bad basis label {label!r} for {self.n_qubits} qubits")
-        index = 0
-        for c in label:
-            index = (index << 1) | _BIT_FOR_HELICITY[c]
-        return complex(self.amplitudes[index])
+        return complex(self.amplitudes[_basis_index(label)])
 
 
 @dataclass(frozen=True)
@@ -241,14 +251,8 @@ def random_local_unitary(rng) -> LocalOperator:
 
 def basis_state(label: str) -> PureState:
     """Computational basis ket from a helicity string such as '+-+'."""
-    n = len(label)
-    amp = np.zeros(2**n, dtype=complex)
-    index = 0
-    for c in label:
-        if c not in _BIT_FOR_HELICITY:
-            raise ValueError(f"bad helicity character {c!r}")
-        index = (index << 1) | _BIT_FOR_HELICITY[c]
-    amp[index] = 1.0
+    amp = np.zeros(2 ** len(label), dtype=complex)
+    amp[_basis_index(label)] = 1.0
     return PureState(amp)
 
 

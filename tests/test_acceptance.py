@@ -20,6 +20,7 @@ from triphoton import (
     delta_family_state,
     geometry_from_angles,
     ghz_state,
+    info_distance,
     invariant_fingerprint,
     lr_constraint_check,
     mercedes_decompositions,
@@ -255,6 +256,20 @@ def test_criterion_13_simulation_matches_the_prediction(capsys):
         f"median of 1000 runs {median:g} vs predicted {report.n_trials:.2f}; "
         f"certain-event crossing {sure.crossing_trial}",
     )
+
+
+def test_wald_identity_for_the_criterion_13_batch():
+    # Wald: a run stopped at trial N has E[log10 LR_N] = -K E[N], K the
+    # information distance, so D = final_log10 + K N has mean 0 (exact for
+    # this stopping rule, and independent of the minimax behind n_trials).
+    q = 1.0 / 6.0
+    report = best_lr_model(q, 1.0)
+    batch = run_batch(q, report.r1, runs=1000, seed=0)
+    assert not any(run.capped for run in batch.runs)
+    k = info_distance(q, report.r1)
+    d = np.array([run.final_log10 + k * run.crossing_trial for run in batch.runs])
+    z = d.mean() / (d.std(ddof=1) / np.sqrt(d.size))
+    assert abs(z) <= 4.0, f"mean of D is {z:.2f} standard errors from 0"
 
 
 def test_criterion_14_projection_route_matches_closed_form(capsys):

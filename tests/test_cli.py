@@ -1,4 +1,6 @@
 """Command-line interface tests: grammar, formats, exit codes, determinism."""
+import csv
+import io
 import json
 import os
 import subprocess
@@ -143,12 +145,16 @@ print(json.dumps({"before": before, "after": scipy_loaded()}))
 """
 
 
-def test_scipy_loads_only_on_first_use():
+def _src_env() -> dict:
+    """This process's environment with the package source first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def test_scipy_loads_only_on_first_use():
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True, env=env
+        [sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True, env=_src_env()
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
@@ -216,6 +222,31 @@ def test_workers_below_one_exits_2(capsys):
 def test_tangle_scan_step_validation(capsys):
     assert run_cli(capsys, ["tangle-scan", "--step", "0"])[0] == 2
     assert run_cli(capsys, ["tangle-scan", "--step", "10.5"])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mermin", "sweep", "--delta", "0:180:1e-7"],  # 13.4 GiB of deltas
+        ["strength", "sweep", "--delta", "0:180:1e-9"],  # 1.31 TiB
+        ["tangle-scan", "--step", "1e-6"],  # 2.68 GiB for one axis
+    ],
+)
+def test_oversized_work_is_refused_before_allocating(argv):
+    resource = pytest.importorskip("resource")
+    limit = (1 << 30, 1 << 30)  # 1 GiB of address space
+    proc = subprocess.run(
+        [sys.executable, "-m", "triphoton", *argv],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+        timeout=10,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "more than" in proc.stderr
 
 
 def test_mermin_extremize_default_finds_both_minima(capsys):
@@ -355,6 +386,52 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == SIMULATE_SURE_CSV
+    # an unwritable --output is a bad value: exit 2 with one line, no traceback
+    for argv, path in (
+        (["tangle-scan", "--step", "10"], tmp_path / "missing" / "x.csv"),
+        (["strength", "table"], tmp_path),
+    ):
+        code, out, err = run_cli(capsys, [*argv, "--output", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
+def _same_value(csv_cell: str, json_value) -> bool:
+    """A csv cell and the json value of the same cell agree: an empty cell,
+    inf and nan are json null, true/false are booleans, and numbers equal."""
+    if csv_cell in ("", "inf", "-inf", "nan"):
+        return json_value is None
+    if csv_cell in ("true", "false"):
+        return json_value is (csv_cell == "true")
+    if isinstance(json_value, str):
+        return csv_cell == json_value
+    return isinstance(json_value, (int, float)) and float(csv_cell) == json_value
+
+
+def test_csv_and_json_carry_the_same_values(capsys):
+    for argv in (
+        ["tangle-scan", "--step", "10"],
+        ["mermin", "sweep", "--delta", "0:180:15"],
+        ["strength", "sweep", "--delta", "80:180:20"],
+        ["strength", "table"],
+        ["mermin", "extremize", "--starts", "4"],
+        # q = r never crosses: both runs end capped with crossing_trial None
+        ["simulate", "--q", "0.5", "--r", "0.5", "--runs", "2", "--target-exponent", "1"],
+    ):
+        code, text, _ = run_cli(capsys, argv)
+        assert code == 0
+        code, doc, _ = run_cli(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(text)))
+        records = json.loads(doc)
+        assert len(rows) == len(records) > 0, argv
+        for row, record in zip(rows, records):
+            assert list(row) == list(record), argv
+            for name, cell in row.items():
+                assert _same_value(cell, record[name]), (argv, name, cell, record[name])
+    # the capped batch really exercised the empty-cell/null case
+    assert rows[0]["crossing_trial"] == "" and records[0]["crossing_trial"] is None
 
 
 def test_rerun_byte_identity_battery(capsys):

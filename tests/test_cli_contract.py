@@ -1,0 +1,86 @@
+"""Property-based CLI contract: whatever the numbers in its arguments, `main`
+exits 0, 2 or 3, and a failure prints nothing on stdout and exactly one
+`error:` line on stderr, never a traceback.
+
+Valid values come from small ranges so that accepted commands stay fast;
+edge values (non-finite, signed zero, negative, denormal, tiny, huge) are
+mixed in. Options are passed as `--name=value`, because argparse reads a
+separate `-inf` or `-1e-300` as an option flag and prints its usage.
+"""
+import contextlib
+import io
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from triphoton.cli import main
+
+_EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300)
+
+_CONTRACT = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def _number(low: float, high: float):
+    """A float from [low, high], or one of the edge values."""
+    return st.one_of(st.floats(low, high), st.sampled_from(_EDGES))
+
+
+# (--format, --workers or None, --output key or None) shared by every command
+_options = st.tuples(
+    st.sampled_from(("csv", "json")),
+    st.one_of(st.none(), st.integers(-2, 3)),
+    st.sampled_from((None, "missing", "directory")),
+)
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """--output values: stdout, a path in a missing directory, a directory."""
+    root = tmp_path_factory.mktemp("contract")
+    return {None: None, "missing": root / "missing" / "out.csv", "directory": root}
+
+
+def _check(argv, options, outputs) -> None:
+    fmt, workers, output = options[0], options[1], outputs[options[2]]
+    argv = [*argv, f"--format={fmt}"]
+    if workers is not None:
+        argv.append(f"--workers={workers}")
+    if output is not None:
+        argv.append(f"--output={output}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, code)
+    if code:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, (
+            argv,
+            err.getvalue(),
+        )
+    elif output is None:
+        assert out.getvalue(), argv
+
+
+@_CONTRACT
+@given(_number(60.0, 200.0), _number(60.0, 200.0), st.sampled_from((0, 1, -1)), _options)
+def test_state_contract(outputs, theta12, theta13, sz, options):
+    _check(["state", f"--geometry={theta12!r},{theta13!r}", f"--sz={sz}"], options, outputs)
+
+
+@_CONTRACT
+@given(st.one_of(_number(4.0, 10.0), st.sampled_from((1e-7, 10.5))), _options)
+def test_tangle_scan_contract(outputs, step, options):
+    _check(["tangle-scan", f"--step={step!r}"], options, outputs)
+
+
+@_CONTRACT
+@given(_number(0.0, 180.0), _number(0.0, 180.0), _number(5.0, 180.0), _options)
+def test_mermin_sweep_contract(outputs, start, stop, step, options):
+    _check(["mermin", "sweep", f"--delta={start!r}:{stop!r}:{step!r}"], options, outputs)
+
+
+@_CONTRACT
+@given(_number(0.0, 1.0), _number(0.0, 1.0), st.integers(-2, 3), _options)
+def test_simulate_contract(outputs, q, r, runs, options):
+    _check(["simulate", f"--q={q!r}", f"--r={r!r}", f"--runs={runs}"], options, outputs)

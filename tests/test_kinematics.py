@@ -9,6 +9,7 @@ from triphoton import (
     photon_energies,
     polarization_vector,
 )
+from triphoton.kinematics import _feasible
 
 
 def test_angle_validation():
@@ -87,6 +88,8 @@ def test_feasibility_matches_positivity_oracle_on_full_grid():
         [[geometry_from_angles(a, b).feasible for b in t13] for a in t12]
     )
     assert np.array_equal(flags, oracle)
+    # the elementwise predicate the tangle scan masks with is the same one
+    assert np.array_equal(_feasible(g12, g13), oracle)
 
 
 def test_polarization_transversality_and_curl():

@@ -18,7 +18,7 @@ from triphoton import (
     reduced_density,
     tensor3,
 )
-from triphoton.tensor import pauli_tensor
+from triphoton.tensor import _basis_index, _basis_label, pauli_tensor
 
 
 def test_pure_state_rejects_non_power_of_two():
@@ -41,6 +41,16 @@ def test_basis_state_amplitude_roundtrip():
     assert s.n_qubits == 3
     # '+' is bit 0 and the first party is the most significant bit
     assert s.amplitudes[0b010] == 1.0
+    # one mapping both ways, from a string or from +1/-1 helicities
+    for n in (1, 2, 3, 4):
+        for index in range(2**n):
+            label = _basis_label(index, n)
+            assert _basis_index(label) == index
+            assert _basis_index(tuple(+1 if c == "+" else -1 for c in label)) == index
+    assert _basis_label(0b001, 3) == "++-"
+    for bad in ("+x+", (1, 0, -1)):
+        with pytest.raises(ValueError):
+            _basis_index(bad)
 
 
 def test_ghz_state_amplitudes():
