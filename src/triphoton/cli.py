@@ -183,6 +183,15 @@ def _cmd_simulate(args) -> Table:
     return batch.to_table()
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors keep the one-line stderr contract:
+    `error: <message>` and exit 2, without the usage block. Subparsers are
+    created with the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -196,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"no effect, kept for compatibility; must be >= 1 (default: ${_WORKERS_ENV} or 1)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="triphoton",
         description="Three-photon decay states, entanglement, and local-realism tests.",
     )

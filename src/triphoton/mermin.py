@@ -7,8 +7,9 @@ the full four-term sum E(n',n,n) + E(n,n',n) + E(n,n,n') - E(n',n',n'),
 which reduces to 3E - E' on permutation-symmetric states and respects the
 |M| <= 2 product-state bound for asymmetric ones as well.
 
-scipy is imported on the first call of `minimize` (by `mermin_extremize`),
-not with the module; the extremizer's start points come from `_halton`.
+The extremizer needs no scipy: `minimize` is a damped Newton iteration on
+the exact Hessian of the trilinear form, run from the start points of
+`_halton`.
 """
 from __future__ import annotations
 
@@ -70,6 +71,17 @@ def _direction_jacobian(theta_rad: float, phi_rad: float) -> np.ndarray:
     return np.array([[ct * cp, -st * sp], [ct * sp, st * cp], [-st, 0.0]])
 
 
+def _direction_curvature(theta_rad: float, phi_rad: float) -> np.ndarray:
+    """2x2x3 second derivatives of n = _direction(theta, phi); entry [i, j] is
+    d2 n / dx_i dx_j with x = (theta, phi)."""
+    st, ct = np.sin(theta_rad), np.cos(theta_rad)
+    sp, cp = np.sin(phi_rad), np.cos(phi_rad)
+    d_tp = [-ct * sp, ct * cp, 0.0]
+    return np.array(
+        [[[-st * cp, -st * sp, -ct], d_tp], [d_tp, [-st * cp, -st * sp, 0.0]]]
+    )
+
+
 def _angles_of(n: np.ndarray) -> tuple[float, float]:
     theta = float(np.degrees(np.arccos(np.clip(n[2], -1.0, 1.0))))
     phi = float(np.degrees(np.arctan2(n[1], n[0])) % 360.0)
@@ -111,16 +123,30 @@ def _symmetrized(corr: np.ndarray) -> np.ndarray:
     return sum(np.transpose(c, axes) for axes in itertools.permutations(range(3)))
 
 
-def _value_and_gradient(corr: np.ndarray, sym: np.ndarray, angles_rad) -> tuple[float, np.ndarray]:
-    """Mermin value and its exact gradient in (theta, phi, theta', phi') radians."""
+def _value_gradient_hessian(
+    corr: np.ndarray, sym: np.ndarray, angles_rad
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mermin value, exact gradient and exact Hessian in (theta, phi, theta',
+    phi') radians.
+
+    The second derivatives in the directions are d2M/dn2 = s(p, ., .),
+    d2M/dp2 = -s(p, ., .) and d2M/dn dp = s(n, ., .); each block is chained
+    through the Jacobians J of the directions, plus the curvature of the
+    direction weighted by its gradient: H_nn = Jn' s(p) Jn + dM/dn . d2n.
+    """
     th, ph, thp, php = angles_rad
     n, p = _direction(th, ph), _direction(thp, php)
-    grad_n = np.einsum("ijk,i,j->k", sym, p, n)
-    grad_p = (np.einsum("ijk,i,j->k", sym, n, n) - np.einsum("ijk,i,j->k", sym, p, p)) / 2.0
-    grad = np.concatenate(
-        (grad_n @ _direction_jacobian(th, ph), grad_p @ _direction_jacobian(thp, php))
-    )
-    return _mermin(corr, n, p), grad
+    jn, jp = _direction_jacobian(th, ph), _direction_jacobian(thp, php)
+    # s is symmetric, so contracting its last index is contracting any
+    s_n, s_p = sym @ n, sym @ p
+    grad_n = s_p @ n
+    grad_p = (s_n @ n - s_p @ p) / 2.0
+    hess = np.empty((4, 4))
+    hess[:2, :2] = jn.T @ s_p @ jn + _direction_curvature(th, ph) @ grad_n
+    hess[2:, 2:] = -jp.T @ s_p @ jp + _direction_curvature(thp, php) @ grad_p
+    hess[:2, 2:] = jn.T @ s_n @ jp
+    hess[2:, :2] = hess[:2, 2:].T
+    return _mermin(corr, n, p), np.concatenate((grad_n @ jn, grad_p @ jp)), hess
 
 
 def mermin_gradient(state: PureState, angles_deg) -> np.ndarray:
@@ -133,7 +159,7 @@ def mermin_gradient(state: PureState, angles_deg) -> np.ndarray:
     if x.shape != (4,):
         raise ValueError("angles must be (theta, phi, theta_prime, phi_prime)")
     corr = pauli_tensor(state)
-    return _value_and_gradient(corr, _symmetrized(corr), x)[1]
+    return _value_gradient_hessian(corr, _symmetrized(corr), x)[1]
 
 
 @dataclass(frozen=True)
@@ -178,13 +204,6 @@ class MerminResult:
     points: tuple["MerminResult", ...] = field(default=())
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, with scipy imported on the first call."""
-    from scipy import optimize
-
-    return optimize.minimize(*args, **kwargs)
-
-
 def _halton(n: int, seed: int) -> np.ndarray:
     """First n points of the scrambled Halton sequence in [0, 1)^4.
 
@@ -213,6 +232,68 @@ def _halton(n: int, seed: int) -> np.ndarray:
 
 _STATIONARY_TOL = 1e-6  # gradient norm at or below which a point is stationary
 _POLE_TOL = 1e-6  # radians from a pole within which phi is arbitrary
+# radians from phi = 0 within which phi is set to 0: at a stationary point
+# that moves the value by ~1e-24, far below its rounding
+_ZERO_PHI_TOL = 1e-12
+_NEWTON_STEPS = 100  # steps after which `minimize` gives up on a start
+
+# Most starts an extremization may take. A start costs about 1.2 ms, so this
+# bounds a call to about 15 s and its start points to 320 kB; more is refused
+# before the start points are drawn.
+_MAX_STARTS = 10_000
+
+
+@dataclass(frozen=True)
+class NewtonResult:
+    """Where `minimize` stopped: the point, its value and exact gradient,
+    the evaluations spent, and whether the gradient norm passes the
+    stationarity test (<= _STATIONARY_TOL)."""
+
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    nfev: int
+    success: bool
+
+
+def minimize(fun, x0) -> NewtonResult:
+    """Damped Newton descent from x0 on fun(x) -> (value, gradient, Hessian).
+
+    Each step solves with the Hessian's eigenvalues replaced by their
+    magnitudes, floored at 1e-6 of the largest, so it always points
+    downhill; it is halved until it gains the Armijo share of its slope.
+    Near a minimum that gain falls below the value's rounding while the
+    gradient can still shrink, so the test forgives rounding (4e-16 |f|).
+    The iteration stops at a gradient norm <= 1e-13, after an accepted step
+    that gains no more than rounding once the gradient norm is <= 1e-8,
+    when 40 halvings find no acceptable step, or after _NEWTON_STEPS steps.
+    """
+    x = np.asarray(x0, dtype=float)
+    f, g, h = fun(x)
+    nfev = 1
+    for _ in range(_NEWTON_STEPS):
+        if np.linalg.norm(g) <= 1e-13:
+            break
+        lam, vec = np.linalg.eigh(h)
+        lam = np.abs(lam)
+        # a vanishing Hessian leaves a plain gradient step
+        lam = np.maximum(lam, 1e-6 * lam.max() or 1.0)
+        step = -vec @ ((vec.T @ g) / lam)
+        slope = g @ step
+        rounding = 4e-16 * abs(f)
+        for halvings in range(41):
+            t = 0.5**halvings
+            f_new, g_new, h_new = fun(x + t * step)
+            nfev += 1
+            if f_new <= f + 1e-4 * t * slope + rounding:
+                break
+        else:
+            break
+        gain = f - f_new
+        x, f, g, h = x + t * step, f_new, g_new, h_new
+        if gain <= rounding and np.linalg.norm(g) <= 1e-8:
+            break
+    return NewtonResult(x, f, g, nfev, bool(np.linalg.norm(g) <= _STATIONARY_TOL))
 
 
 def _fold_angles(corr: np.ndarray, x: np.ndarray, value: float) -> np.ndarray:
@@ -223,7 +304,9 @@ def _fold_angles(corr: np.ndarray, x: np.ndarray, value: float) -> np.ndarray:
     exactly with phi = 0, and the complex-conjugation copy (phi, phi') ->
     (360 - phi, 360 - phi') is folded when it moves phi below 180 degrees;
     each fold applies only if it reproduces the value within 1e-9 (for the
-    conjugation fold, true of real-amplitude states).
+    conjugation fold, true of real-amplitude states). Last, a phi within
+    _ZERO_PHI_TOL of 0 or 360 degrees becomes 0, so that rounding left by the
+    iteration does not print as a tiny angle or as 360.
     """
     value_at = lambda y: _mermin(corr, _direction(*y[:2]), _direction(*y[2:]))
     same_value = lambda y: abs(value_at(y) - value) <= 1e-9
@@ -247,27 +330,33 @@ def _fold_angles(corr: np.ndarray, x: np.ndarray, value: float) -> np.ndarray:
         candidate[3] = (2.0 * np.pi - out[3]) % (2.0 * np.pi)
         if same_value(candidate):
             out = candidate
+    for i in (1, 3):
+        if min(out[i], 2.0 * np.pi - out[i]) <= _ZERO_PHI_TOL:
+            out[i] = 0.0
     return out
 
 
 def mermin_extremize(state: PureState, starts: int = 64, seed: int = 0) -> MerminResult:
     """Multi-start minimization of the Mermin functional over symmetric settings.
 
-    Runs a quasi-Newton (BFGS) search on the exact gradient from `starts`
-    low-discrepancy points in (theta, phi, theta', phi') space, keeps the
-    starts that end at a stationary point (exact gradient norm <= 1e-6),
-    clusters them by value, and returns the best minimum found. The `points`
-    field carries one representative per distinct stationary value, best
-    first; each carries its exact gradient norm and a stationarity flag
-    (norm <= 1e-6). Deterministic for fixed (starts, seed).
+    Runs a damped Newton search on the exact gradient and Hessian (see
+    `minimize`) from `starts` scrambled Halton points in (theta, phi,
+    theta', phi') space, keeps the starts that end at a stationary point
+    (exact gradient norm <= 1e-6), clusters them by value, and returns the
+    best minimum found. The `points` field carries one representative per
+    distinct stationary value, best first; each carries its exact gradient
+    norm and a stationarity flag (norm <= 1e-6). `starts` lies in [1,
+    _MAX_STARTS]. Deterministic for fixed (starts, seed).
     """
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
+    if starts > _MAX_STARTS:
+        raise ValueError(f"{starts} starts are more than the {_MAX_STARTS} allowed")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     corr = pauli_tensor(state)
     sym = _symmetrized(corr)
-    fun = lambda x: _value_and_gradient(corr, sym, x)
+    fun = lambda x: _value_gradient_hessian(corr, sym, x)
 
     lo = np.array([0.0, 0.0, 0.0, 0.0])
     hi = np.array([np.pi, 2.0 * np.pi, np.pi, 2.0 * np.pi])
@@ -275,11 +364,9 @@ def mermin_extremize(state: PureState, starts: int = 64, seed: int = 0) -> Mermi
 
     found = []
     for x0 in x0s:
-        res = minimize(fun, x0, jac=True, method="BFGS", options={"gtol": 1e-10})
-        # BFGS flags precision loss as failure even at a stationary point, so
-        # the exact gradient decides convergence, not res.success
-        if np.linalg.norm(res.jac) <= _STATIONARY_TOL:
-            found.append((float(res.fun), np.asarray(res.x, dtype=float)))
+        res = minimize(fun, x0)
+        if res.success:
+            found.append((res.fun, res.x))
     if not found:
         raise RuntimeError("no start converged; increase starts")
 

@@ -25,6 +25,12 @@ from .tensor import PureState, _unit_vector, pauli_tensor
 # split, so the trials of a (seed, run_index) never depend on the blocking.
 _FIRST_BLOCK = 256
 
+# Most runs a batch may have. A run that crosses early costs about 50 us and
+# its table row about 20 B, so 10^5 such runs take about 5 s; a run that
+# reaches the 10^6-trial cap costs about 25 ms. More runs are refused before
+# any is started.
+_MAX_RUNS = 100_000
+
 
 @dataclass(frozen=True)
 class SimulationRun:
@@ -150,7 +156,8 @@ def run_batch(
     cap: int = 1_000_000,
     workers: int | None = None,
 ) -> SimulationBatch:
-    """Independent runs indexed 0..runs-1, each on its own Philox substream.
+    """Independent runs indexed 0..runs-1 (1 <= runs <= _MAX_RUNS), each on
+    its own Philox substream.
 
     The result is ordered by run index. `workers` is validated (>= 1) and
     otherwise ignored: the runs are computed serially, and each depends on
@@ -158,6 +165,8 @@ def run_batch(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if runs > _MAX_RUNS:
+        raise ValueError(f"{runs} runs are more than the {_MAX_RUNS} allowed")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     results = [

@@ -111,6 +111,32 @@ def test_unknown_command_exits_2(capsys):
     assert run_cli(capsys, ["bogus"])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus"],
+        ["mermin"],
+        ["state", "--sz", "2", "--geometry", "120,120"],
+        ["state", "--geometry", "-5,10"],  # read as an option, so no value
+        ["tangle-scan", "--step", "-inf"],
+        ["mermin", "extremize", "--starts", "x"],
+        ["simulate", "--q", "0.2", "--r", "0.3", "--runs", "2", "--bogus"],
+    ],
+)
+def test_argparse_errors_print_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["state", "--help"], ["mermin", "extremize", "--help"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0
+        assert out.startswith("usage: triphoton") and err == ""
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, ["--version"])
     assert code == 0
@@ -139,8 +165,9 @@ scipy_loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.starts
 run("state", "--geometry", "120,120")
 run("tangle-scan", "--step", "10")
 run("mermin", "sweep", "--delta", "0:180:30")
-before = scipy_loaded()
 run("mermin", "extremize", "--starts", "2")
+before = scipy_loaded()
+run("strength", "table")
 print(json.dumps({"before": before, "after": scipy_loaded()}))
 """
 
@@ -159,7 +186,7 @@ def test_scipy_loads_only_on_first_use():
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert loaded["before"] == []
-    # the extremizer needs scipy.optimize; its start points need no scipy.stats
+    # the local-model minimax needs scipy.optimize, and nothing needs scipy.stats
     assert "scipy.optimize" in loaded["after"]
     assert "scipy.stats" not in loaded["after"]
 
@@ -230,6 +257,8 @@ def test_tangle_scan_step_validation(capsys):
         ["mermin", "sweep", "--delta", "0:180:1e-7"],  # 13.4 GiB of deltas
         ["strength", "sweep", "--delta", "0:180:1e-9"],  # 1.31 TiB
         ["tangle-scan", "--step", "1e-6"],  # 2.68 GiB for one axis
+        ["mermin", "extremize", "--starts", "1000000000"],  # 7.45 GiB of start indices
+        ["simulate", "--q", "0.2", "--r", "0.3", "--runs", "1000000000"],  # hours of runs
     ],
 )
 def test_oversized_work_is_refused_before_allocating(argv):

@@ -4,8 +4,9 @@ exits 0, 2 or 3, and a failure prints nothing on stdout and exactly one
 
 Valid values come from small ranges so that accepted commands stay fast;
 edge values (non-finite, signed zero, negative, denormal, tiny, huge) are
-mixed in. Options are passed as `--name=value`, because argparse reads a
-separate `-inf` or `-1e-300` as an option flag and prints its usage.
+mixed in. Options are mostly passed as `--name=value`, so the values reach
+the program's own checks: argparse reads a separate `-inf` or `-1e-300` as
+an option flag and rejects the command itself, also with one line.
 """
 import contextlib
 import io
@@ -75,12 +76,37 @@ def test_tangle_scan_contract(outputs, step, options):
 
 
 @_CONTRACT
+@given(st.one_of(_number(4.0, 10.0), st.sampled_from((-1e-300, -5.0))), _options)
+def test_tangle_scan_contract_with_separate_values(outputs, step, options):
+    _check(["tangle-scan", "--step", repr(step)], options, outputs)
+
+
+@_CONTRACT
 @given(_number(0.0, 180.0), _number(0.0, 180.0), _number(5.0, 180.0), _options)
 def test_mermin_sweep_contract(outputs, start, stop, step, options):
     _check(["mermin", "sweep", f"--delta={start!r}:{stop!r}:{step!r}"], options, outputs)
 
 
 @_CONTRACT
-@given(_number(0.0, 1.0), _number(0.0, 1.0), st.integers(-2, 3), _options)
+@given(
+    st.one_of(st.integers(-2, 3), st.sampled_from((10**4 + 1, 10**9))),
+    st.integers(-1, 3),
+    _options,
+)
+def test_mermin_extremize_contract(outputs, starts, seed, options):
+    _check(
+        ["mermin", "extremize", "--state", "ghz", "--starts", str(starts), "--seed", str(seed)],
+        options,
+        outputs,
+    )
+
+
+@_CONTRACT
+@given(
+    _number(0.0, 1.0),
+    _number(0.0, 1.0),
+    st.one_of(st.integers(-2, 3), st.sampled_from((10**5 + 1, 10**9))),
+    _options,
+)
 def test_simulate_contract(outputs, q, r, runs, options):
     _check(["simulate", f"--q={q!r}", f"--r={r!r}", f"--runs={runs}"], options, outputs)

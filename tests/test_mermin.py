@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -19,7 +23,9 @@ from triphoton import (
     triple_expectation,
     yx_settings,
 )
-from triphoton.mermin import _halton
+from triphoton import mermin
+from triphoton.mermin import _halton, _symmetrized, _value_gradient_hessian
+from triphoton.tensor import pauli_tensor
 from triphoton.states import delta_range
 
 
@@ -145,6 +151,63 @@ def test_gradient_is_nonzero_away_from_stationary_points():
         assert np.allclose(got, expected, rtol=0.0, atol=1e-8)
 
 
+def test_hessian_matches_central_differences_of_the_gradient():
+    from triphoton import PureState
+
+    rng = np.random.default_rng(75)
+    h = 1e-5
+    for _ in range(20):
+        state = PureState(oracles.random_state(rng))
+        x = np.radians(rng.uniform((0, 0, 0, 0), (180, 360, 180, 360)))
+        corr = pauli_tensor(state)
+        hess = _value_gradient_hessian(corr, _symmetrized(corr), x)[2]
+        expected = np.array(
+            [
+                (mermin_gradient(state, np.degrees(x + h * e))
+                 - mermin_gradient(state, np.degrees(x - h * e))) / (2.0 * h)
+                for e in np.eye(4)
+            ]
+        )
+        assert np.allclose(hess, expected, rtol=0.0, atol=1e-6)
+        assert np.allclose(hess, hess.T, rtol=0.0, atol=1e-12)
+
+
+def _bench_tracer(monkeypatch):
+    """bench/tracer.py, loaded the way tests/test_bench_hooks.py loads it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_counts_newton_results(monkeypatch):
+    hook = _bench_tracer(monkeypatch)._minimize
+    corr = pauli_tensor(delta_family_state(120.0))
+    fun = lambda x: _value_gradient_hessian(corr, _symmetrized(corr), x)
+    x0 = np.array([1.4, 0.5, 1.7, 2.3])
+    res = mermin.minimize(fun, x0)
+    assert res.success and np.linalg.norm(res.jac) <= mermin._STATIONARY_TOL
+    assert res.fun == pytest.approx(-3.0459560059918083, abs=1e-9)
+    counts = {"mermin.minimize.calls": 0, "mermin.minimize.nfev": 0,
+              "mermin.minimize.converged": 0}
+    hook(counts, res, (fun, x0), {})
+    assert counts == {"mermin.minimize.calls": 1, "mermin.minimize.nfev": res.nfev,
+                      "mermin.minimize.converged": 1}
+    assert res.nfev > 1
+    # an unbounded slope with a vanishing Hessian never becomes stationary:
+    # plain gradient steps until the step cap, counted as not converged
+    linear = lambda x: (x[0], np.array([1.0, 0.0, 0.0, 0.0]), np.zeros((4, 4)))
+    res = mermin.minimize(linear, np.zeros(4))
+    assert not res.success
+    assert res.nfev == mermin._NEWTON_STEPS + 1
+    assert res.fun == -mermin._NEWTON_STEPS
+    hook(counts, res, (linear, np.zeros(4)), {})
+    assert counts["mermin.minimize.calls"] == 2
+    assert counts["mermin.minimize.converged"] == 1
+
+
 def test_extremize_finds_the_deep_minimum():
     result = mermin_extremize(delta_family_state(120.0), starts=64, seed=0)
     assert result.value == pytest.approx(-3.0459560059918083, abs=1e-9)
@@ -198,6 +261,8 @@ def test_halton_starts_match_scipy_bit_for_bit(seed):
 def test_extremize_validates_starts():
     with pytest.raises(ValueError):
         mermin_extremize(ghz_state(), starts=0)
+    with pytest.raises(ValueError, match="more than"):
+        mermin_extremize(ghz_state(), starts=mermin._MAX_STARTS + 1)
     with pytest.raises(ValueError):
         mermin_extremize(ghz_state(), starts=4, seed=-1)
 

@@ -13,6 +13,7 @@ from triphoton import (
     simulate_depression,
     yx_settings,
 )
+from triphoton.simulate import _MAX_RUNS
 
 
 def test_deterministic_hit_stream_crosses_at_33():
@@ -45,6 +46,8 @@ def test_input_validation():
         simulate_depression(0.5, 0.4, cap=0)
     with pytest.raises(ValueError):
         run_batch(0.5, 0.4, runs=0)
+    with pytest.raises(ValueError, match="more than"):
+        run_batch(0.5, 0.4, runs=_MAX_RUNS + 1)
     with pytest.raises(ValueError):
         simulate_depression(0.5, 0.4, seed=-1)
     with pytest.raises(ValueError):
