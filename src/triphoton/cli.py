@@ -169,7 +169,7 @@ def _cmd_simulate(args) -> Table:
                 f"delta = {format_number(args.delta)} deg stays within the "
                 "local-realism bound; there is no model to refute"
             )
-        q, r = model.q1, report.r1
+        q, r = report.q1, report.r1
     else:
         raise ValueError("either --q/--r or --delta is required")
     batch = run_batch(

@@ -64,22 +64,17 @@ def _direction(theta_rad: float, phi_rad: float) -> np.ndarray:
     )
 
 
-def _direction_jacobian(theta_rad: float, phi_rad: float) -> np.ndarray:
-    """3x2 matrix of d n / d theta and d n / d phi for n = _direction(theta, phi)."""
+def _direction_derivatives(theta_rad: float, phi_rad: float) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives of n = _direction(theta, phi), from one
+    evaluation of the four sines and cosines: the 3x2 Jacobian (columns
+    d n / d theta and d n / d phi) and the 2x2x3 curvature, whose entry
+    [i, j] is d2 n / dx_i dx_j with x = (theta, phi)."""
     st, ct = np.sin(theta_rad), np.cos(theta_rad)
     sp, cp = np.sin(phi_rad), np.cos(phi_rad)
-    return np.array([[ct * cp, -st * sp], [ct * sp, st * cp], [-st, 0.0]])
-
-
-def _direction_curvature(theta_rad: float, phi_rad: float) -> np.ndarray:
-    """2x2x3 second derivatives of n = _direction(theta, phi); entry [i, j] is
-    d2 n / dx_i dx_j with x = (theta, phi)."""
-    st, ct = np.sin(theta_rad), np.cos(theta_rad)
-    sp, cp = np.sin(phi_rad), np.cos(phi_rad)
+    jacobian = np.array([[ct * cp, -st * sp], [ct * sp, st * cp], [-st, 0.0]])
     d_tp = [-ct * sp, ct * cp, 0.0]
-    return np.array(
-        [[[-st * cp, -st * sp, -ct], d_tp], [d_tp, [-st * cp, -st * sp, 0.0]]]
-    )
+    curvature = np.array([[[-st * cp, -st * sp, -ct], d_tp], [d_tp, [-st * cp, -st * sp, 0.0]]])
+    return jacobian, curvature
 
 
 def _angles_of(n: np.ndarray) -> tuple[float, float]:
@@ -136,14 +131,14 @@ def _value_gradient_hessian(
     """
     th, ph, thp, php = angles_rad
     n, p = _direction(th, ph), _direction(thp, php)
-    jn, jp = _direction_jacobian(th, ph), _direction_jacobian(thp, php)
+    (jn, curv_n), (jp, curv_p) = _direction_derivatives(th, ph), _direction_derivatives(thp, php)
     # s is symmetric, so contracting its last index is contracting any
     s_n, s_p = sym @ n, sym @ p
     grad_n = s_p @ n
     grad_p = (s_n @ n - s_p @ p) / 2.0
     hess = np.empty((4, 4))
-    hess[:2, :2] = jn.T @ s_p @ jn + _direction_curvature(th, ph) @ grad_n
-    hess[2:, 2:] = -jp.T @ s_p @ jp + _direction_curvature(thp, php) @ grad_p
+    hess[:2, :2] = jn.T @ s_p @ jn + curv_n @ grad_n
+    hess[2:, 2:] = -jp.T @ s_p @ jp + curv_p @ grad_p
     hess[:2, 2:] = jn.T @ s_n @ jp
     hess[2:, :2] = hess[:2, 2:].T
     return _mermin(corr, n, p), np.concatenate((grad_n @ jn, grad_p @ jp)), hess
@@ -155,11 +150,13 @@ def mermin_gradient(state: PureState, angles_deg) -> np.ndarray:
     angles_deg is (theta, phi, theta', phi') in degrees; the returned
     derivatives are with respect to the angles in radians.
     """
-    x = np.radians(np.asarray(angles_deg, dtype=float))
-    if x.shape != (4,):
+    angles = np.asarray(angles_deg, dtype=float)
+    if angles.shape != (4,):
         raise ValueError("angles must be (theta, phi, theta_prime, phi_prime)")
+    if not np.isfinite(angles).all():
+        raise ValueError(f"angles must be finite, got {angles.tolist()}")
     corr = pauli_tensor(state)
-    return _value_gradient_hessian(corr, _symmetrized(corr), x)[1]
+    return _value_gradient_hessian(corr, _symmetrized(corr), np.radians(angles))[1]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .serialize import Table
-from .strength import _require_target, info_distance
+from .strength import _require_target, trials_to_depress
 from .tensor import PureState, _unit_vector, pauli_tensor
 
 # Trials are drawn in blocks that start small and double, so a short run
@@ -30,6 +30,11 @@ _FIRST_BLOCK = 256
 # reaches the 10^6-trial cap costs about 25 ms. More runs are refused before
 # any is started.
 _MAX_RUNS = 100_000
+
+# Most trials a batch may expect to draw (see run_batch). A trial costs 22-27
+# ns (20 runs that reach the 10^6-trial cap take 0.43-0.54 s), so this bounds
+# a batch to about 30 s; a larger batch is refused before any run starts.
+_MAX_TRIALS = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,22 @@ class SimulationRun:
     trajectory: np.ndarray | None = None
 
 
+def _check_game(q: float, r: float, target_exponent: float, cap: int, seed: int) -> None:
+    """Refuse arguments that no run of the likelihood-ratio game can take."""
+    if not (0.0 <= q <= 1.0):
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    if not (0.0 < r < 1.0) and r != q:
+        # r at an endpoint is only playable when q matches it exactly
+        raise ValueError(f"model probability r = {r} forbids possible outcomes")
+    _require_target(target_exponent)
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not seed < 2**64:  # a Philox key word holds 64 bits
+        raise ValueError(f"seed must be below 2**64, got {seed}")
+
+
 def simulate_depression(
     q: float,
     r: float,
@@ -64,23 +85,15 @@ def simulate_depression(
     expected_trials field is then inf and the run ends capped). Per-trial
     increments are log10(q/r) on a hit and log10((1-q)/(1-r)) on a miss.
     """
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    if not (0.0 < r < 1.0) and r != q:
-        # r at an endpoint is only playable when q matches it exactly
-        raise ValueError(f"model probability r = {r} forbids possible outcomes")
-    _require_target(target_exponent)
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-
-    k = info_distance(q, r)
-    expected = math.inf if k == 0.0 else target_exponent / k
+    _check_game(q, r, target_exponent, cap, seed)
+    expected = trials_to_depress(q, r, target_exponent)
     up = math.log10(q / r) if q > 0.0 else 0.0
     dn = math.log10((1.0 - q) / (1.0 - r)) if q < 1.0 else 0.0
 
-    rng = np.random.Generator(np.random.Philox(key=[int(seed), int(run_index)]))
+    # a uint64 key: numpy reads a list holding a word >= 2**63 as float64,
+    # which rounds distinct seeds onto one stream
+    key = np.array([seed, run_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     target = -float(target_exponent)
 
     acc = 0.0
@@ -159,7 +172,10 @@ def run_batch(
     """Independent runs indexed 0..runs-1 (1 <= runs <= _MAX_RUNS), each on
     its own Philox substream.
 
-    The result is ordered by run index. `workers` is validated (>= 1) and
+    Before any run starts, a batch is refused when its expected work,
+    runs x min(cap, trials_to_depress(q, r, target_exponent)) trials, is
+    more than _MAX_TRIALS; a run that cannot cross (K = 0) counts at the
+    cap. The result is ordered by run index. `workers` is validated (>= 1) and
     otherwise ignored: the runs are computed serially, and each depends on
     its substream key (seed, run_index) alone.
     """
@@ -169,6 +185,12 @@ def run_batch(
         raise ValueError(f"{runs} runs are more than the {_MAX_RUNS} allowed")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_game(q, r, target_exponent, cap, seed)
+    trials = runs * min(cap, trials_to_depress(q, r, target_exponent))
+    if trials > _MAX_TRIALS:
+        raise ValueError(
+            f"{runs} runs expect about {trials:.3g} trials, more than the {_MAX_TRIALS} allowed"
+        )
     results = [
         simulate_depression(q, r, target_exponent=target_exponent, cap=cap, seed=seed, run_index=i)
         for i in range(runs)
@@ -193,7 +215,7 @@ def sample_joint_outcomes(
     legs = [np.array([np.r_[1.0, d], np.r_[1.0, -d]]) for d in map(_unit_vector, (n_a, n_b, n_c))]
     probs = np.einsum("ijk,ai,bj,ck->abc", corr, *legs) / 8.0
     total = probs.sum()
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise ValueError(f"outcome probabilities sum to {total}, not 1")
     flat = np.clip(probs.ravel(), 0.0, None)
     flat = flat / flat.sum()

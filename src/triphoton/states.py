@@ -79,27 +79,15 @@ def amplitude_vector(geometry: DecayGeometry, helicities) -> np.ndarray:
 
 
 def spin_amplitude_matrix(geometry: DecayGeometry, helicities) -> np.ndarray:
-    """2x2 spin-space three-photon amplitude from the cyclic-sum formula.
+    """2x2 spin-space three-photon amplitude, sigma . amplitude_vector.
 
-    Each cyclic term is [(e_j . e_k - d_j . d_k) e_i + (e_j . d_k + e_k . d_j) d_i]
-    dotted into the Pauli vector, with e_i the conjugated polarization and
-    d_i = khat_i x e_i. The literal sum equals minus sigma . amplitude_vector
-    (an algebraic identity via d_i = i l_i e_i), so the overall sign is fixed
-    here to make spin_amplitude_matrix == sigma . amplitude_vector hold.
+    It equals minus the textbook cyclic sum of
+    [(e_j . e_k - d_j . d_k) e_i + (e_j . d_k + e_k . d_j) d_i] dotted into
+    the Pauli vector, with e_i the conjugated polarization and
+    d_i = khat_i x e_i (an identity, via d_i = i l_i e_i); the tests check
+    it against that literal sum.
     """
-    hs = _check_helicities(helicities)
-    if len(hs) != 3:
-        raise ValueError("exactly three helicities required")
-    _require_feasible(geometry)
-    phi = geometry.azimuths_deg
-    khat = geometry.unit_vectors
-    e = [amplitude_polarization(phi[i], hs[i]).conj() for i in range(3)]
-    d = [np.cross(khat[i], e[i]) for i in range(3)]
-    total = np.zeros(3, dtype=complex)
-    for i, j, k in _CYCLIC:
-        total += (np.dot(e[j], e[k]) - np.dot(d[j], d[k])) * e[i]
-        total += (np.dot(e[j], d[k]) + np.dot(e[k], d[j])) * d[i]
-    vec = -total
+    vec = amplitude_vector(geometry, helicities)
     return vec[0] * PAULI[0] + vec[1] * PAULI[1] + vec[2] * PAULI[2]
 
 
@@ -221,6 +209,15 @@ def mercedes_state() -> PureState:
     return ortho_state(mercedes_geometry(), 0)
 
 
+def _delta_alpha(delta_deg: float) -> tuple[float, float]:
+    """delta as a float checked to lie in [0, 180] degrees, and the family's
+    normalization alpha = 1/sqrt(2 (1 + cos^3(delta/2)))."""
+    d = float(delta_deg)
+    if not 0.0 <= d <= 180.0:
+        raise ValueError(f"delta must lie in [0, 180] degrees, got {delta_deg}")
+    return d, 1.0 / np.sqrt(2.0 * (1.0 + np.cos(np.radians(d) / 2.0) ** 3))
+
+
 def delta_family_state(delta_deg: float) -> PureState:
     """Two-term product superposition parametrized by the Bloch opening delta.
 
@@ -230,12 +227,9 @@ def delta_family_state(delta_deg: float) -> PureState:
     delta = 0 a single product state, and delta = 120 a local-unitary
     equivalent of the symmetric three-photon decay state.
     """
-    d = float(delta_deg)
-    if not 0.0 <= d <= 180.0:
-        raise ValueError(f"delta must lie in [0, 180] degrees, got {delta_deg}")
+    d, alpha = _delta_alpha(delta_deg)
     quarter = np.radians(180.0 - d) / 4.0
     c, s = np.cos(quarter), np.sin(quarter)
-    alpha = 1.0 / np.sqrt(2.0 * (1.0 + np.cos(np.radians(d) / 2.0) ** 3))
     u = np.array([c, s])
     v = np.array([s, c])
     amp = alpha * (tensor3(u, u, u).amplitudes + tensor3(v, v, v).amplitudes)
@@ -277,11 +271,8 @@ def delta_family_minimal(delta_deg: float) -> PureState:
     equivalent of delta_family_state(delta) (same invariant fingerprint),
     not the same amplitude vector.
     """
-    d = float(delta_deg)
-    if not 0.0 <= d <= 180.0:
-        raise ValueError(f"delta must lie in [0, 180] degrees, got {delta_deg}")
+    d, alpha = _delta_alpha(delta_deg)
     quarter = np.radians(d) / 4.0
-    alpha = 1.0 / np.sqrt(2.0 * (1.0 + np.cos(np.radians(d) / 2.0) ** 3))
     p = 2.0 * alpha * np.sin(quarter) ** 2 * np.cos(quarter)
     q = 2.0 * alpha * np.cos(quarter) ** 3
     amp = np.zeros(8, dtype=complex)

@@ -236,7 +236,7 @@ def best_lr_model(q1_or_model, q2: float | None = None, target_exponent: float =
         (3.0, 0.0, 0.0, 1.0 / 3.0),
         (3.0, -2.0, 2.0 / 3.0, 1.0),
     )
-    best: tuple[float, float, float, float] | None = None
+    best: tuple[float, float, float, float, float] | None = None
     for slope, shift, lo, hi in sides:
         for r1 in _side_candidates(q1, q2v, slope, shift, lo, hi):
             r2 = slope * r1 + shift
@@ -248,12 +248,11 @@ def best_lr_model(q1_or_model, q2: float | None = None, target_exponent: float =
             if not math.isfinite(worst):
                 continue
             if best is None or worst < best[0]:
-                best = (worst, r1, r2, k1)
+                best = (worst, r1, r2, k1, k2)
     if best is None:
         raise RuntimeError("no admissible local model found; probabilities degenerate")
 
-    worst, r1, r2, k1 = best
-    k2 = _info_distance_extended(q2v, r2)
+    worst, r1, r2, k1, k2 = best
     return StrengthReport(
         q1=q1, q2=q2v, r1=r1, r2=r2, k1=k1, k2=k2,
         n_trials=target_exponent / worst,
@@ -311,22 +310,17 @@ def strength_delta_sweep(
     singlet benchmark (or where no violation exists at all).
     """
     deltas = delta_range(start_deg, stop_deg, step_deg)
-    q1s, r1s, ns, flags = [], [], [], []
-    for d in deltas:
-        model = event_probabilities(delta_family_state(float(d)))
-        report = best_lr_model(model, target_exponent=target_exponent)
-        q1s.append(model.q1)
-        r1s.append(report.r1)
-        ns.append(report.n_trials)
-        flags.append(not (report.n_trials < SINGLET_REFERENCE_TRIALS))
+    models = (event_probabilities(delta_family_state(float(d))) for d in deltas)
+    reports = [best_lr_model(m, target_exponent=target_exponent) for m in models]
+    flags = [not (r.n_trials < SINGLET_REFERENCE_TRIALS) for r in reports]
     return ScanGrid(
         axis_names=("delta_deg",),
         axes=(deltas,),
         column_names=("q1", "r1", "n_trials", "flagged_over_200"),
         columns=(
-            np.array(q1s),
-            np.array(r1s),
-            np.array(ns),
+            np.array([r.q1 for r in reports]),
+            np.array([r.r1 for r in reports]),
+            np.array([r.n_trials for r in reports]),
             np.array(flags, dtype=object),
         ),
     )

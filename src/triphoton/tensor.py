@@ -195,7 +195,7 @@ def _unit_vector(direction) -> np.ndarray:
     if n.shape != (3,):
         raise ValueError("Bloch direction must have three components")
     length = float(np.linalg.norm(n))
-    if abs(length - 1.0) > 1e-9:
+    if not abs(length - 1.0) <= 1e-9:  # NaN fails every comparison
         raise ValueError(f"Bloch direction must be unit length, got |n| = {length}")
     n = n / length
     n.setflags(write=False)
@@ -209,7 +209,7 @@ def bloch_observable(direction) -> LocalOperator:
 
 
 def _require_normalized(state: PureState) -> None:
-    if abs(state.norm() ** 2 - 1.0) > 1e-12:
+    if not abs(state.norm() ** 2 - 1.0) <= 1e-12:
         raise ValueError("state must be normalized (squared norm within 1e-12 of 1)")
 
 
@@ -227,7 +227,7 @@ def pauli_tensor(state: PureState) -> np.ndarray:
     t = state.tensor
     corr = np.einsum("abc,iax,jby,kcz,xyz->ijk", t.conj(), _SIGMA4, _SIGMA4, _SIGMA4, t)
     residue = float(np.abs(corr.imag).max())
-    if residue > 1e-10:
+    if not residue <= 1e-10:
         raise ValueError(f"expectation has nonreal residue {residue}")
     return corr.real
 

@@ -72,6 +72,29 @@ _PAULI = (
 )
 
 
+def literal_spin_amplitude_matrix(azimuths_deg, helicities):
+    """2x2 three-photon amplitude from the textbook cyclic sum.
+
+    Each cyclic term is [(e_j . e_k - d_j . d_k) e_i + (e_j . d_k + e_k . d_j) d_i]
+    dotted into the Pauli vector, with d_i = khat_i x e_i and
+    e_i = (-l_i sin phi_i, l_i cos phi_i, -i)/sqrt(2), the conjugated in-plane
+    polarization written out; the sum is negated, which is the sign of
+    sigma . V for the amplitude vector V.
+    """
+    phi = np.radians(np.asarray(azimuths_deg, dtype=float))
+    khat = [np.array([np.cos(p), np.sin(p), 0.0]) for p in phi]
+    e = [
+        np.array([-l * np.sin(p), l * np.cos(p), -1j]) / np.sqrt(2.0)
+        for p, l in zip(phi, helicities)
+    ]
+    d = [np.cross(k, v) for k, v in zip(khat, e)]
+    total = np.zeros(3, dtype=complex)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        total += (np.dot(e[j], e[k]) - np.dot(d[j], d[k])) * e[i]
+        total += (np.dot(e[j], d[k]) + np.dot(e[k], d[j])) * d[i]
+    return sum(-c * s for c, s in zip(total, _PAULI))
+
+
 def _bloch(direction):
     n = np.asarray(direction, dtype=float)
     return n[0] * _PAULI[0] + n[1] * _PAULI[1] + n[2] * _PAULI[2]

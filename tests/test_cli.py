@@ -1,5 +1,7 @@
 """Command-line interface tests: grammar, formats, exit codes, determinism."""
 import csv
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -259,6 +261,7 @@ def test_tangle_scan_step_validation(capsys):
         ["tangle-scan", "--step", "1e-6"],  # 2.68 GiB for one axis
         ["mermin", "extremize", "--starts", "1000000000"],  # 7.45 GiB of start indices
         ["simulate", "--q", "0.2", "--r", "0.3", "--runs", "1000000000"],  # hours of runs
+        ["simulate", "--q", "0.5", "--r", "0.5", "--runs", "100000"],  # 10^11 capped trials
     ],
 )
 def test_oversized_work_is_refused_before_allocating(argv):
@@ -355,6 +358,23 @@ def test_strength_sweep_golden(capsys):
     assert out == STRENGTH_SWEEP_CSV
 
 
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def test_refute_outputs_match_the_benchmark_digests(capsys, monkeypatch):
+    # the benchmark pins these bytes; read its digests rather than copy them
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses resolve annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for key in ("mermin sweep --delta 0:180:0.1", "strength sweep --delta 80:180:0.25",
+                "strength table"):
+        code, out, _ = run_cli(capsys, key.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == workloads.DIGESTS[key], key
+
+
 def test_simulate_sure_crossing_golden(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -387,6 +407,11 @@ def test_simulate_argument_conflicts_exit_2(capsys):
     code, _, err = run_cli(capsys, ["simulate", "--q", "0.5", "--r", "0.4", "--seed", "-1"])
     assert code == 2
     assert "seed must be >= 0" in err
+    # a Philox key word holds 64 bits; one more is refused, not a traceback
+    argv = ["simulate", "--q", "0.2", "--r", "0.3", "--runs", "2", "--seed", str(2**64)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: seed must be below 2**64") and err.count("\n") == 1
     for mode in (["--q", "0.2", "--r", "0.3"], ["--delta", "120"]):
         for bad in ("nan", "inf", "0"):
             code, out, err = run_cli(

@@ -106,7 +106,9 @@ def test_mermin_extremize_contract(outputs, starts, seed, options):
     _number(0.0, 1.0),
     _number(0.0, 1.0),
     st.one_of(st.integers(-2, 3), st.sampled_from((10**5 + 1, 10**9))),
+    st.one_of(st.integers(-1, 3), st.sampled_from((2**64 - 1, 2**64))),
     _options,
 )
-def test_simulate_contract(outputs, q, r, runs, options):
-    _check(["simulate", f"--q={q!r}", f"--r={r!r}", f"--runs={runs}"], options, outputs)
+def test_simulate_contract(outputs, q, r, runs, seed, options):
+    argv = ["simulate", f"--q={q!r}", f"--r={r!r}", f"--runs={runs}", f"--seed={seed}"]
+    _check(argv, options, outputs)

@@ -50,6 +50,11 @@ def test_tangle_requires_normalized_three_qubit_state():
         tangle(PureState(np.ones(8, dtype=complex)))
     with pytest.raises(ValueError):
         tangle(para_state_like())
+    nan_state = PureState(np.full(8, np.nan))
+    with pytest.raises(ValueError):
+        tangle(nan_state)
+    with pytest.raises(ValueError):
+        invariant_fingerprint(nan_state)
 
 
 def para_state_like():

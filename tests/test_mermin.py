@@ -32,6 +32,8 @@ from triphoton.states import delta_range
 def test_settings_require_unit_vectors():
     with pytest.raises(ValueError):
         ObservableSettings(unprimed=(0.0, 2.0, 0.0), primed=(1.0, 0.0, 0.0))
+    with pytest.raises(ValueError):
+        ObservableSettings.from_angles(np.nan, 0.0, 90.0, 0.0)
     s = ObservableSettings(unprimed=(0.0, 1.0, 0.0), primed=(1.0, 0.0, 0.0))
     assert np.array_equal(s.unprimed, [0.0, 1.0, 0.0])
 
@@ -69,6 +71,10 @@ def test_triple_expectation_rejects_unnormalized_state():
         triple_expectation(
             PureState(2.0 * ghz_state().amplitudes), (1, 0, 0), (0, 1, 0), (0, 0, 1)
         )
+    with pytest.raises(ValueError):
+        triple_expectation(PureState(np.full(8, np.nan)), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(ValueError):
+        triple_expectation(ghz_state(), (np.nan, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_reference_mermin_values_at_yx():
@@ -133,6 +139,12 @@ def test_gradient_vanishes_at_the_symmetric_stationary_point():
     for d in (90.0, 120.0, 150.0, 180.0):
         g = mermin_gradient(delta_family_state(d), (90.0, 90.0, 90.0, 0.0))
         assert np.linalg.norm(g) <= 1e-6
+
+
+def test_gradient_rejects_bad_angles():
+    for angles in ((np.nan, 0.0, 90.0, 0.0), (0.0, 0.0, np.inf, 0.0), (0.0, 90.0, 0.0)):
+        with pytest.raises(ValueError):
+            mermin_gradient(ghz_state(), angles)
 
 
 def test_gradient_is_nonzero_away_from_stationary_points():

@@ -11,9 +11,11 @@ from triphoton import (
     run_batch,
     sample_joint_outcomes,
     simulate_depression,
+    trials_to_depress,
     yx_settings,
 )
-from triphoton.simulate import _MAX_RUNS
+from triphoton import simulate
+from triphoton.simulate import _MAX_RUNS, _MAX_TRIALS
 
 
 def test_deterministic_hit_stream_crosses_at_33():
@@ -48,10 +50,22 @@ def test_input_validation():
         run_batch(0.5, 0.4, runs=0)
     with pytest.raises(ValueError, match="more than"):
         run_batch(0.5, 0.4, runs=_MAX_RUNS + 1)
+    # the trial budget: q = r never crosses, so each run counts at its cap;
+    # runs that cross count at their expected trials (about 46000 here)
+    with pytest.raises(ValueError, match="expect about"):
+        run_batch(0.5, 0.5, runs=_MAX_TRIALS // 100_000 + 1, cap=100_000)
+    runs = int(_MAX_TRIALS / trials_to_depress(0.5, 0.49)) + 1
+    assert runs <= _MAX_RUNS
+    with pytest.raises(ValueError, match="expect about"):
+        run_batch(0.5, 0.49, runs=runs)
     with pytest.raises(ValueError):
         simulate_depression(0.5, 0.4, seed=-1)
     with pytest.raises(ValueError):
         run_batch(0.5, 0.4, runs=3, seed=-1)
+    with pytest.raises(ValueError, match=r"below 2\*\*64"):
+        simulate_depression(0.5, 0.4, seed=2**64)
+    with pytest.raises(ValueError, match=r"below 2\*\*64"):
+        run_batch(0.5, 0.4, runs=3, seed=2**64)
     with pytest.raises(ValueError):
         run_batch(0.5, 0.4, runs=3, workers=0)
 
@@ -119,6 +133,16 @@ def test_batch_ordering_and_worker_independence():
     assert text.splitlines()[0] == "run_index,seed,crossing_trial,capped"
 
 
+def test_seeds_above_2_to_the_63_keep_distinct_streams():
+    # numpy would read a list key holding 2**63 or more as float64, which
+    # maps 2**63 + 1 onto 2**63 and 2**64 - 1 onto seed 0
+    path = lambda seed: tuple(
+        simulate_depression(0.2, 0.3, cap=64, seed=seed, keep_trajectory=True).trajectory
+    )
+    seeds = (0, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
+    assert len({path(seed) for seed in seeds}) == len(seeds)
+
+
 def test_batch_median_tracks_expected_trials():
     batch = run_batch(1 / 6, 0.31482415541578446, runs=400, seed=0)
     xs = batch.crossing_trials()
@@ -155,9 +179,13 @@ def test_sample_joint_outcomes_counts():
     assert abs(counts[0, 0, 0] - 2500) < 4 * np.sqrt(5000 * 0.25)
 
 
-def test_sample_joint_outcomes_validation():
+def test_sample_joint_outcomes_validation(monkeypatch):
     with pytest.raises(ValueError):
         sample_joint_outcomes(ghz_state(), (1, 0, 0), (0, 1, 0), (0, 0, 1), -1)
+    # probabilities that sum to NaN are refused, not normalized and sampled
+    monkeypatch.setattr(simulate, "pauli_tensor", lambda state: np.full((4, 4, 4), np.nan))
+    with pytest.raises(ValueError, match="sum to nan"):
+        sample_joint_outcomes(ghz_state(), (1, 0, 0), (0, 1, 0), (0, 0, 1), 10)
 
 
 def test_sampled_expectation_agrees_with_quantum_value():

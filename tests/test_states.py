@@ -105,6 +105,8 @@ def test_spin_amplitude_matrix_is_pauli_dot_vector():
             m = spin_amplitude_matrix(g, hs)
             v = amplitude_vector(g, hs)
             assert np.abs(m - np.einsum("a,aij->ij", v, sigma)).max() < 1e-12
+            literal = oracles.literal_spin_amplitude_matrix(g.azimuths_deg, hs)
+            assert np.abs(m - literal).max() < 1e-12
 
 
 def test_helicity_table_lookup_matches_direct_evaluation():

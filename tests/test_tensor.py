@@ -149,8 +149,10 @@ def test_bloch_observable_properties():
         assert np.abs(obs - obs.conj().T).max() < 1e-14
         eig = np.sort(np.linalg.eigvalsh(obs))
         assert np.abs(eig - [-1.0, 1.0]).max() < 1e-12
-    with pytest.raises(ValueError):
-        bloch_observable((1.0, 1.0, 0.0))
+    # NaN fails every comparison, so a length check must not let it through
+    for bad in ((1.0, 1.0, 0.0), (np.nan, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            bloch_observable(bad)
 
 
 def test_pauli_tensor_matches_dense_kronecker_products():
