@@ -46,8 +46,6 @@ def _tangle(t: np.ndarray) -> np.ndarray:
 
 def tangle(state: PureState) -> float:
     """Entanglement tangle of a normalized three-qubit state, in [0, 1/4]."""
-    if state.n_qubits != 3:
-        raise ValueError("tangle is defined here for three-qubit states")
     _require_normalized(state)
     return float(_tangle(state.tensor))
 

@@ -11,9 +11,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import _check_helicities, _frozen_array
+
 
 class FeasibilityError(ValueError):
     """Raised when a geometry cannot come from a physical three-photon decay."""
+
+
+def _require_finite_angles(names, values) -> None:
+    """Refuse a NaN or infinite angle, naming the first such one."""
+    for name, value in zip(names, values):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _feasible(theta12, theta13):
@@ -68,9 +77,7 @@ class DecayGeometry:
     def unit_vectors(self) -> np.ndarray:
         """3x3 array of photon unit momenta, one row per photon, z = 0."""
         phi = np.radians(self.azimuths_deg)
-        out = np.stack([np.cos(phi), np.sin(phi), np.zeros(3)], axis=1)
-        out.setflags(write=False)
-        return out
+        return _frozen_array(np.stack([np.cos(phi), np.sin(phi), np.zeros(3)], axis=1), float)
 
 
 def geometry_from_angles(theta12_deg: float, theta13_deg: float) -> DecayGeometry:
@@ -104,9 +111,7 @@ def photon_energies(geometry: DecayGeometry, total: float = 2.0) -> np.ndarray:
     """
     _require_feasible(geometry)
     sines = np.sin(np.radians(geometry.pair_openings_deg))
-    out = total * sines / sines.sum()
-    out.setflags(write=False)
-    return out
+    return _frozen_array(total * sines / sines.sum(), float)
 
 
 @dataclass(frozen=True)
@@ -118,16 +123,14 @@ class PolarizationVector:
     helicity: int
 
     def __post_init__(self):
-        comp = np.asarray(self.components, dtype=complex).ravel()
-        direc = np.asarray(self.direction, dtype=float).ravel()
+        comp = _frozen_array(self.components).ravel()
+        direc = _frozen_array(self.direction, float).ravel()
         if comp.shape != (3,) or direc.shape != (3,):
             raise ValueError("components and direction must be 3-vectors")
-        comp.setflags(write=False)
-        direc.setflags(write=False)
+        (helicity,) = _check_helicities((self.helicity,))
         object.__setattr__(self, "components", comp)
         object.__setattr__(self, "direction", direc)
-        if self.helicity not in (+1, -1):
-            raise ValueError(f"helicity must be +1 or -1, got {self.helicity}")
+        object.__setattr__(self, "helicity", helicity)
 
 
 def polarization_vector(theta_deg: float, phi_deg: float, helicity: int) -> PolarizationVector:
@@ -141,10 +144,10 @@ def polarization_vector(theta_deg: float, phi_deg: float, helicity: int) -> Pola
 
     Satisfies khat . eps = 0 and khat x eps = -i l eps.
     """
-    if helicity not in (+1, -1):
-        raise ValueError(f"helicity must be +1 or -1, got {helicity}")
-    t = np.radians(float(theta_deg))
-    p = np.radians(float(phi_deg))
+    (helicity,) = _check_helicities((helicity,))
+    theta, phi = float(theta_deg), float(phi_deg)
+    _require_finite_angles(("theta_deg", "phi_deg"), (theta, phi))
+    t, p = np.radians(theta), np.radians(phi)
     l = float(helicity)
     comp = -(l / np.sqrt(2.0)) * np.array(
         [

@@ -19,9 +19,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .kinematics import _require_finite_angles
 from .serialize import ScanGrid
 from .states import delta_family_state, delta_range
 from .tensor import PureState, _unit_vector, pauli_tensor
+
+_ANGLE_NAMES = ("theta_deg", "phi_deg", "theta_prime_deg", "phi_prime_deg")
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,7 @@ class ObservableSettings:
         theta_prime_deg: float,
         phi_prime_deg: float,
     ) -> "ObservableSettings":
+        _require_finite_angles(_ANGLE_NAMES, (theta_deg, phi_deg, theta_prime_deg, phi_prime_deg))
         return cls(
             unprimed=_direction(np.radians(theta_deg), np.radians(phi_deg)),
             primed=_direction(np.radians(theta_prime_deg), np.radians(phi_prime_deg)),
@@ -55,26 +59,21 @@ class ObservableSettings:
 
 
 def _direction(theta_rad: float, phi_rad: float) -> np.ndarray:
-    return np.array(
-        [
-            np.sin(theta_rad) * np.cos(phi_rad),
-            np.sin(theta_rad) * np.sin(phi_rad),
-            np.cos(theta_rad),
-        ]
-    )
+    return _direction_derivatives(theta_rad, phi_rad)[0]
 
 
-def _direction_derivatives(theta_rad: float, phi_rad: float) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivatives of n = _direction(theta, phi), from one
-    evaluation of the four sines and cosines: the 3x2 Jacobian (columns
-    d n / d theta and d n / d phi) and the 2x2x3 curvature, whose entry
-    [i, j] is d2 n / dx_i dx_j with x = (theta, phi)."""
+def _direction_derivatives(theta_rad: float, phi_rad: float) -> tuple[np.ndarray, ...]:
+    """The unit direction n(theta, phi) and its first and second derivatives,
+    from one evaluation of the four sines and cosines: n, the 3x2 Jacobian
+    (columns d n / d theta and d n / d phi) and the 2x2x3 curvature, whose
+    entry [i, j] is d2 n / dx_i dx_j with x = (theta, phi)."""
     st, ct = np.sin(theta_rad), np.cos(theta_rad)
     sp, cp = np.sin(phi_rad), np.cos(phi_rad)
+    n = np.array([st * cp, st * sp, ct])
     jacobian = np.array([[ct * cp, -st * sp], [ct * sp, st * cp], [-st, 0.0]])
     d_tp = [-ct * sp, ct * cp, 0.0]
     curvature = np.array([[[-st * cp, -st * sp, -ct], d_tp], [d_tp, [-st * cp, -st * sp, 0.0]]])
-    return jacobian, curvature
+    return n, jacobian, curvature
 
 
 def _angles_of(n: np.ndarray) -> tuple[float, float]:
@@ -130,8 +129,8 @@ def _value_gradient_hessian(
     direction weighted by its gradient: H_nn = Jn' s(p) Jn + dM/dn . d2n.
     """
     th, ph, thp, php = angles_rad
-    n, p = _direction(th, ph), _direction(thp, php)
-    (jn, curv_n), (jp, curv_p) = _direction_derivatives(th, ph), _direction_derivatives(thp, php)
+    n, jn, curv_n = _direction_derivatives(th, ph)
+    p, jp, curv_p = _direction_derivatives(thp, php)
     # s is symmetric, so contracting its last index is contracting any
     s_n, s_p = sym @ n, sym @ p
     grad_n = s_p @ n
@@ -153,8 +152,7 @@ def mermin_gradient(state: PureState, angles_deg) -> np.ndarray:
     angles = np.asarray(angles_deg, dtype=float)
     if angles.shape != (4,):
         raise ValueError("angles must be (theta, phi, theta_prime, phi_prime)")
-    if not np.isfinite(angles).all():
-        raise ValueError(f"angles must be finite, got {angles.tolist()}")
+    _require_finite_angles(_ANGLE_NAMES, angles)
     corr = pauli_tensor(state)
     return _value_gradient_hessian(corr, _symmetrized(corr), np.radians(angles))[1]
 

@@ -111,10 +111,10 @@ class ScanGrid:
         for c in cols:
             if c.shape != shape:
                 raise ValueError(f"column shape {c.shape} does not match axes {shape}")
-        for a in axes:
+        # frozen in place, not copied by tensor._frozen_array: a value column
+        # is ~100 MB at step 0.1 deg, and a copy would raise the peak memory
+        for a in (*axes, *cols):
             a.setflags(write=False)
-        for c in cols:
-            c.setflags(write=False)
         object.__setattr__(self, "axis_names", tuple(self.axis_names))
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "column_names", tuple(self.column_names))

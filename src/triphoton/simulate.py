@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .serialize import Table
-from .strength import _require_target, trials_to_depress
-from .tensor import PureState, _unit_vector, pauli_tensor
+from .strength import _require_probability, _require_target, trials_to_depress
+from .tensor import PureState, _frozen_array, _unit_vector, pauli_tensor
 
 # Trials are drawn in blocks that start small and double, so a short run
 # draws little. A Philox stream yields the same values however its draws are
@@ -56,8 +56,7 @@ class SimulationRun:
 
 def _check_game(q: float, r: float, target_exponent: float, cap: int, seed: int) -> None:
     """Refuse arguments that no run of the likelihood-ratio game can take."""
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+    _require_probability("q", q)
     if not (0.0 < r < 1.0) and r != q:
         # r at an endpoint is only playable when q matches it exactly
         raise ValueError(f"model probability r = {r} forbids possible outcomes")
@@ -121,8 +120,7 @@ def simulate_depression(
 
     trajectory = None
     if keep_trajectory:
-        trajectory = np.concatenate(pieces) if pieces else np.zeros(0)
-        trajectory.setflags(write=False)
+        trajectory = _frozen_array(np.concatenate(pieces) if pieces else np.zeros(0), float)
     return SimulationRun(
         seed=int(seed),
         run_index=int(run_index),

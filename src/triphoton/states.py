@@ -18,16 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import DecayGeometry, _require_feasible, mercedes_geometry, polarization_vector
-from .tensor import PAULI, PureState, _basis_index, _basis_label, apply_local, tensor3
+from .tensor import (PAULI, PureState, _basis_index, _basis_label, _check_helicities,
+                     _frozen_array, apply_local, tensor3)
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
-
-def _check_helicities(helicities) -> tuple[int, ...]:
-    hs = tuple(int(h) for h in helicities)
-    if any(h not in (+1, -1) for h in hs):
-        raise ValueError(f"helicities must be +1 or -1, got {helicities}")
-    return hs
 
 
 def amplitude_polarization(phi_deg: float, helicity: int) -> np.ndarray:
@@ -87,7 +81,10 @@ def spin_amplitude_matrix(geometry: DecayGeometry, helicities) -> np.ndarray:
     d_i = khat_i x e_i (an identity, via d_i = i l_i e_i); the tests check
     it against that literal sum.
     """
-    vec = amplitude_vector(geometry, helicities)
+    return _sigma_dot(amplitude_vector(geometry, helicities))
+
+
+def _sigma_dot(vec: np.ndarray) -> np.ndarray:
     return vec[0] * PAULI[0] + vec[1] * PAULI[1] + vec[2] * PAULI[2]
 
 
@@ -100,13 +97,9 @@ class HelicityAmplitude:
     matrix: np.ndarray
 
     def __post_init__(self):
-        vec = np.asarray(self.vector, dtype=complex)
-        mat = np.asarray(self.matrix, dtype=complex)
-        vec.setflags(write=False)
-        mat.setflags(write=False)
         object.__setattr__(self, "helicities", tuple(self.helicities))
-        object.__setattr__(self, "vector", vec)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "vector", _frozen_array(self.vector))
+        object.__setattr__(self, "matrix", _frozen_array(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -127,13 +120,8 @@ def helicity_table(geometry: DecayGeometry) -> HelicityAmplitudeTable:
     entries = []
     for index in range(8):
         hs = tuple(+1 if c == "+" else -1 for c in _basis_label(index, 3))
-        entries.append(
-            HelicityAmplitude(
-                helicities=hs,
-                vector=amplitude_vector(geometry, hs),
-                matrix=spin_amplitude_matrix(geometry, hs),
-            )
-        )
+        vec = amplitude_vector(geometry, hs)
+        entries.append(HelicityAmplitude(helicities=hs, vector=vec, matrix=_sigma_dot(vec)))
     return HelicityAmplitudeTable(geometry=geometry, amplitudes=tuple(entries))
 
 
@@ -292,13 +280,8 @@ class ProductDecomposition:
     def __post_init__(self):
         if not self.weight > 0:
             raise ValueError("weight must be positive")
-        frozen = []
-        for triple in self.factors:
-            qubits = tuple(np.asarray(f, dtype=complex) for f in triple)
-            for q in qubits:
-                q.setflags(write=False)
-            frozen.append(qubits)
-        object.__setattr__(self, "factors", tuple(frozen))
+        frozen = tuple(tuple(_frozen_array(f) for f in triple) for triple in self.factors)
+        object.__setattr__(self, "factors", frozen)
 
     def reconstruct(self) -> PureState:
         total = np.zeros(8, dtype=complex)

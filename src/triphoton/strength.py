@@ -46,6 +46,11 @@ def brentq(*args, **kwargs):
     return optimize.brentq(*args, **kwargs)
 
 
+def _require_probability(name: str, value: float) -> None:
+    if not (0.0 <= value <= 1.0):  # NaN fails every comparison
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
 def info_distance(q: float, r: float) -> float:
     """Kullback-Leibler distance K(q, r) in base-10 digits.
 
@@ -54,10 +59,8 @@ def info_distance(q: float, r: float) -> float:
     in [0, 1] (NaN included), and when the distance is undefined because r
     puts zero probability on an outcome q allows.
     """
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    if not (0.0 <= r <= 1.0):
-        raise ValueError(f"r must lie in [0, 1], got {r}")
+    _require_probability("q", q)
+    _require_probability("r", r)
     if q > 0.0 and r <= 0.0:
         raise ValueError(f"r = {r} forbids an outcome with probability q = {q}")
     if q < 1.0 and r >= 1.0:
@@ -105,8 +108,11 @@ def depressing_factor(q: float, r: float, n: int, m: int) -> float:
     Negative once the data favor q over r. Endpoint conventions: an outcome
     the model r forbids but the data contain gives -inf (model refuted
     outright); an outcome q forbids but the data contain gives +inf.
-    Both forbidding it is undefined and raises.
+    Both forbidding it is undefined and raises, as does a q or r that is not
+    a probability in [0, 1].
     """
+    _require_probability("q", q)
+    _require_probability("r", r)
     if n < 0 or m < 0 or m > n:
         raise ValueError(f"need 0 <= m <= n, got m = {m}, n = {n}")
     total = 0.0
@@ -137,9 +143,8 @@ class EventModel:
     q2: float  # all-primed outcome product equal to +1
 
     def __post_init__(self):
-        for name, value in (("q1", self.q1), ("q2", self.q2)):
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        _require_probability("q1", self.q1)
+        _require_probability("q2", self.q2)
 
     @property
     def mermin_value(self) -> float:

@@ -20,13 +20,22 @@ PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 _SIGMA4 = np.stack((np.eye(2, dtype=complex),) + PAULI)
 
 
+def _check_helicities(helicities) -> tuple[int, ...]:
+    """The helicities as ints, each exactly +1 or -1: a value such as 1.7 is
+    refused, not truncated."""
+    hs = tuple(helicities)
+    if any(h not in (+1, -1) for h in hs):
+        raise ValueError(f"helicities must be +1 or -1, got {hs}")
+    return tuple(int(h) for h in hs)
+
+
 def _basis_index(helicities) -> int:
     """Flat basis index of a helicity ket given as '+-+' or (+1, -1, +1)."""
+    if isinstance(helicities, str):
+        helicities = ({"+": 1, "-": -1}.get(c, c) for c in helicities)
     index = 0
-    for h in helicities:
-        if h not in ("+", "-", +1, -1):
-            raise ValueError(f"bad helicity {h!r} in {helicities!r}")
-        index = (index << 1) | (h in ("-", -1))
+    for h in _check_helicities(helicities):
+        index = (index << 1) | (h < 0)
     return index
 
 
@@ -36,6 +45,7 @@ def _basis_label(index: int, n_qubits: int) -> str:
 
 
 def _frozen_array(values, dtype=complex) -> np.ndarray:
+    """A read-only copy of values; the caller's array stays writable."""
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -153,8 +163,7 @@ def inner(a: PureState, b: PureState) -> complex:
 
 def apply_local(op_a, op_b, op_c, state: PureState) -> PureState:
     """Apply one local operator per party of a three-qubit state."""
-    if state.n_qubits != 3:
-        raise ValueError("apply_local expects a three-qubit state")
+    _require_three_qubits(state)
     out = np.einsum(
         "ax,by,cz,xyz->abc",
         _as_matrix(op_a),
@@ -197,9 +206,7 @@ def _unit_vector(direction) -> np.ndarray:
     length = float(np.linalg.norm(n))
     if not abs(length - 1.0) <= 1e-9:  # NaN fails every comparison
         raise ValueError(f"Bloch direction must be unit length, got |n| = {length}")
-    n = n / length
-    n.setflags(write=False)
-    return n
+    return _frozen_array(n / length, float)
 
 
 def bloch_observable(direction) -> LocalOperator:
@@ -208,7 +215,14 @@ def bloch_observable(direction) -> LocalOperator:
     return LocalOperator(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
 
 
+def _require_three_qubits(state: PureState) -> None:
+    if state.n_qubits != 3:
+        raise ValueError(f"expected a three-qubit state, got {state.n_qubits} qubits")
+
+
 def _require_normalized(state: PureState) -> None:
+    """Refuse anything but a normalized three-qubit state."""
+    _require_three_qubits(state)
     if not abs(state.norm() ** 2 - 1.0) <= 1e-12:
         raise ValueError("state must be normalized (squared norm within 1e-12 of 1)")
 
@@ -221,8 +235,6 @@ def pauli_tensor(state: PureState) -> np.ndarray:
     the probability of outcomes (s, t, u) in {+1, -1}^3 along those
     directions is T contracted with (1, s a), (1, t b), (1, u c), over 8.
     """
-    if state.n_qubits != 3:
-        raise ValueError("the Pauli correlation tensor needs a three-qubit state")
     _require_normalized(state)
     t = state.tensor
     corr = np.einsum("abc,iax,jby,kcz,xyz->ijk", t.conj(), _SIGMA4, _SIGMA4, _SIGMA4, t)

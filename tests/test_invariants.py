@@ -48,7 +48,7 @@ def test_tangle_reference_states():
 def test_tangle_requires_normalized_three_qubit_state():
     with pytest.raises(ValueError):
         tangle(PureState(np.ones(8, dtype=complex)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected a three-qubit state, got 2 qubits"):
         tangle(para_state_like())
     nan_state = PureState(np.full(8, np.nan))
     with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import oracles
 from triphoton import (
     FeasibilityError,
+    amplitude_polarization,
     geometry_from_angles,
     mercedes_geometry,
     photon_energies,
@@ -106,8 +109,23 @@ def test_polarization_transversality_and_curl():
 
 
 def test_polarization_helicity_validation():
-    with pytest.raises(ValueError):
-        polarization_vector(90.0, 0.0, 0)
+    for bad in (0, 1.5, -0.5, np.nan, "+"):
+        with pytest.raises(ValueError, match="helicities must be"):
+            polarization_vector(90.0, 0.0, bad)
+    # a helicity equal to +/-1 is kept as the int
+    assert polarization_vector(90.0, 0.0, -1.0).helicity == -1
+
+
+def test_polarization_angles_must_be_finite():
+    # refused at entry, before a sine or cosine can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="theta_deg must be finite, got nan"):
+            polarization_vector(np.nan, 0.0, 1)
+        with pytest.raises(ValueError, match="phi_deg must be finite, got -inf"):
+            polarization_vector(90.0, -np.inf, -1)
+        with pytest.raises(ValueError, match="phi_deg must be finite, got inf"):
+            amplitude_polarization(np.inf, 1)
 
 
 def test_polarization_pair_identity_on_meridian_grid():

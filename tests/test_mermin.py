@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,18 @@ def test_gradient_rejects_bad_angles():
     for angles in ((np.nan, 0.0, 90.0, 0.0), (0.0, 0.0, np.inf, 0.0), (0.0, 90.0, 0.0)):
         with pytest.raises(ValueError):
             mermin_gradient(ghz_state(), angles)
+    with pytest.raises(ValueError, match="theta_prime_deg must be finite, got inf"):
+        mermin_gradient(ghz_state(), (0.0, 0.0, np.inf, 0.0))
+
+
+def test_setting_angles_must_be_finite():
+    # refused at entry with the angle named, before a sine or cosine can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="theta_deg must be finite, got inf"):
+            ObservableSettings.from_angles(np.inf, 0.0, 90.0, 0.0)
+        with pytest.raises(ValueError, match="phi_prime_deg must be finite, got nan"):
+            ObservableSettings.from_angles(90.0, 0.0, 90.0, np.nan)
 
 
 def test_gradient_is_nonzero_away_from_stationary_points():

@@ -92,6 +92,16 @@ def test_amplitude_vector_rejects_bad_input():
         amplitude_vector(g, (1, 1))
     with pytest.raises(ValueError):
         amplitude_vector(g, (1, 0, 1))
+    # helicities are compared with +/-1 exactly, never truncated to an int
+    table = helicity_table(g)
+    for call in (
+        lambda: amplitude_polarization(30.0, 1.7),
+        lambda: scalar_amplitude(1.9, -1.2),
+        lambda: amplitude_vector(g, (1.5, -1, 1)),
+        lambda: table.entry(1.2, 1, -1.9),
+    ):
+        with pytest.raises(ValueError, match="helicities must be"):
+            call()
     with pytest.raises(FeasibilityError):
         amplitude_vector(geometry_from_angles(30.0, 40.0), (1, -1, 1))
 

@@ -86,6 +86,10 @@ def test_depressing_factor_endpoint_conventions():
         depressing_factor(0.0, 0.0, 4, 1)
     with pytest.raises(ValueError):
         depressing_factor(0.3, 0.2, 3, 5)
+    # probabilities outside [0, 1] raise instead of giving nan or +/-inf
+    for q, r, name in ((math.nan, 0.5, "q"), (1.5, 0.5, "q"), (0.5, -0.2, "r"), (0.5, math.nan, "r")):
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            depressing_factor(q, r, 4, 1)
 
 
 def test_event_model_mermin_mapping():

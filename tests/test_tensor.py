@@ -48,7 +48,7 @@ def test_basis_state_amplitude_roundtrip():
             assert _basis_index(label) == index
             assert _basis_index(tuple(+1 if c == "+" else -1 for c in label)) == index
     assert _basis_label(0b001, 3) == "++-"
-    for bad in ("+x+", (1, 0, -1)):
+    for bad in ("+x+", (1, 0, -1), (1, 1.5, -1)):
         with pytest.raises(ValueError):
             _basis_index(bad)
 
@@ -166,7 +166,7 @@ def test_pauli_tensor_matches_dense_kronecker_products():
             assert corr[i, j, k] == pytest.approx(expected, abs=1e-12)
     with pytest.raises(ValueError):
         pauli_tensor(PureState(2.0 * amp))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected a three-qubit state, got 2 qubits"):
         pauli_tensor(PureState(np.array([1.0, 0.0, 0.0, 0.0])))
 
 
