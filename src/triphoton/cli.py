@@ -27,27 +27,22 @@ from .serialize import ScanGrid, Table, _cell, format_number, rows_to_csv
 from .simulate import run_batch
 from .states import delta_family_state, ortho_state
 from .strength import best_lr_model, event_probabilities, strength_delta_sweep, strength_table
-from .tensor import PureState, _basis_label, ghz_state
+from .tensor import PureState, _basis_label, _require_int, ghz_state
 
 _WORKERS_ENV = "TRIPHOTON_WORKERS"
 
 
-def _resolve_workers(args) -> int:
-    """--workers wins; the TRIPHOTON_WORKERS variable applies only when the
-    flag is absent; default is one worker."""
-    if getattr(args, "workers", None) is not None:
-        count = args.workers
-    else:
-        raw = os.environ.get(_WORKERS_ENV)
-        if raw is None:
-            return 1
+def _resolve_workers(args) -> None:
+    """Validate the worker count, which is used nowhere: --workers wins, then
+    the TRIPHOTON_WORKERS variable; default is one worker."""
+    count = args.workers
+    if count is None:
+        raw = os.environ.get(_WORKERS_ENV, "1")
         try:
             count = int(raw)
         except ValueError:
             raise ValueError(f"{_WORKERS_ENV} must be an integer, got {raw!r}")
-    if count < 1:
-        raise ValueError(f"worker count must be >= 1, got {count}")
-    return count
+    _require_int("worker count", count, 1)
 
 
 def _parse_state(label: str) -> PureState:
@@ -56,9 +51,14 @@ def _parse_state(label: str) -> PureState:
         return delta_family_state(120.0)
     if name == "ghz":
         return ghz_state()
-    if name.startswith("delta:"):
-        return delta_family_state(float(name.split(":", 1)[1]))
-    raise ValueError(f"unknown state {label!r}: expected mercedes, ghz, or delta:D")
+    kind, _, text = name.partition(":")
+    try:
+        delta = float(text) if kind == "delta" else None
+    except ValueError:
+        delta = None
+    if delta is None:
+        raise ValueError(f"unknown state {label!r}: expected mercedes, ghz, or delta:D")
+    return delta_family_state(delta)
 
 
 def _parse_geometry(text: str):
@@ -79,7 +79,7 @@ def _emit(args, result) -> int:
     """Write a command's result in its --format to --output or stdout; an
     unwritable --output is a bad value (exit 2)."""
     text = result.to_json() if args.format == "json" else result.to_csv()
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
@@ -124,7 +124,7 @@ def _cmd_state(args) -> _StateReport:
 
 
 def _cmd_tangle_scan(args) -> ScanGrid:
-    return tangle_scan(step_deg=args.step, workers=args.workers)
+    return tangle_scan(step_deg=args.step)
 
 
 def _cmd_mermin_extremize(args) -> Table:
@@ -178,7 +178,6 @@ def _cmd_simulate(args) -> Table:
         runs=args.runs,
         seed=args.seed,
         target_exponent=args.target_exponent,
-        workers=args.workers,
     )
     return batch.to_table()
 
@@ -312,7 +311,7 @@ def main(argv=None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        args.workers = _resolve_workers(args)
+        _resolve_workers(args)
         return _emit(args, args.handler(args))
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ import numpy as np
 from .kinematics import DecayGeometry, _feasible
 from .serialize import ScanGrid
 from .states import ortho_amplitudes, ortho_state
-from .tensor import PureState, _require_normalized, reduced_density
+from .tensor import PureState, _require_int, _require_normalized, reduced_density
 
 _EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -96,12 +96,13 @@ def tangle_scan(step_deg: float = 1.0, workers: int | None = None) -> ScanGrid:
 
     The grid runs from step_deg to 360 - step_deg on both axes. Feasible
     cells hold the tangle of the spin_z = 0 decay state; infeasible cells
-    are exactly 0. `workers` is validated (>= 1) and otherwise ignored: the
-    grid is computed serially, in row chunks that bound memory.
+    are exactly 0. `workers`, when given, must be an integer >= 1 and is
+    otherwise ignored: the grid is computed serially, in row chunks that
+    bound memory, and the CLI passes no worker count.
     """
     axis = _scan_axis(float(step_deg))
-    if workers is not None and int(workers) < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers is not None:
+        _require_int("workers", workers, 1)
     rows = range(0, axis.size, _SCAN_CHUNK_ROWS)
     values = np.vstack([_scan_chunk(axis[i : i + _SCAN_CHUNK_ROWS], axis) for i in rows])
     return ScanGrid(

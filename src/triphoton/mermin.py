@@ -22,7 +22,7 @@ import numpy as np
 from .kinematics import _require_finite_angles
 from .serialize import ScanGrid
 from .states import delta_family_state, delta_range
-from .tensor import PureState, _unit_vector, pauli_tensor
+from .tensor import PureState, _require_int, _unit_vector, pauli_tensor
 
 _ANGLE_NAMES = ("theta_deg", "phi_deg", "theta_prime_deg", "phi_prime_deg")
 
@@ -340,15 +340,11 @@ def mermin_extremize(state: PureState, starts: int = 64, seed: int = 0) -> Mermi
     (exact gradient norm <= 1e-6), clusters them by value, and returns the
     best minimum found. The `points` field carries one representative per
     distinct stationary value, best first; each carries its exact gradient
-    norm and a stationarity flag (norm <= 1e-6). `starts` lies in [1,
-    _MAX_STARTS]. Deterministic for fixed (starts, seed).
+    norm and a stationarity flag (norm <= 1e-6). `starts` is an integer in
+    [1, _MAX_STARTS]. Deterministic for fixed (starts, seed).
     """
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
-    if starts > _MAX_STARTS:
-        raise ValueError(f"{starts} starts are more than the {_MAX_STARTS} allowed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    starts = _require_int("starts", starts, 1, _MAX_STARTS)
+    seed = _require_int("seed", seed, 0)
     corr = pauli_tensor(state)
     sym = _symmetrized(corr)
     fun = lambda x: _value_gradient_hessian(corr, sym, x)

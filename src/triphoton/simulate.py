@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .serialize import Table
-from .strength import _require_probability, _require_target, trials_to_depress
-from .tensor import PureState, _frozen_array, _unit_vector, pauli_tensor
+from .strength import _forbids, _require_probability, _require_target, trials_to_depress
+from .tensor import PureState, _frozen_array, _require_int, _unit_vector, pauli_tensor
 
 # Trials are drawn in blocks that start small and double, so a short run
 # draws little. A Philox stream yields the same values however its draws are
@@ -57,15 +57,12 @@ class SimulationRun:
 def _check_game(q: float, r: float, target_exponent: float, cap: int, seed: int) -> None:
     """Refuse arguments that no run of the likelihood-ratio game can take."""
     _require_probability("q", q)
-    if not (0.0 < r < 1.0) and r != q:
-        # r at an endpoint is only playable when q matches it exactly
+    _require_probability("r", r)
+    if _forbids(q, r):
         raise ValueError(f"model probability r = {r} forbids possible outcomes")
     _require_target(target_exponent)
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if not seed < 2**64:  # a Philox key word holds 64 bits
+    _require_int("cap", cap, 1)
+    if not _require_int("seed", seed, 0) < 2**64:  # a Philox key word holds 64 bits
         raise ValueError(f"seed must be below 2**64, got {seed}")
 
 
@@ -85,6 +82,7 @@ def simulate_depression(
     increments are log10(q/r) on a hit and log10((1-q)/(1-r)) on a miss.
     """
     _check_game(q, r, target_exponent, cap, seed)
+    _require_int("run_index", run_index, 0, 2**64 - 1)
     expected = trials_to_depress(q, r, target_exponent)
     up = math.log10(q / r) if q > 0.0 else 0.0
     dn = math.log10((1.0 - q) / (1.0 - r)) if q < 1.0 else 0.0
@@ -170,19 +168,17 @@ def run_batch(
     """Independent runs indexed 0..runs-1 (1 <= runs <= _MAX_RUNS), each on
     its own Philox substream.
 
+    runs, seed, cap and workers are integers; 2.0 is refused, not truncated.
     Before any run starts, a batch is refused when its expected work,
     runs x min(cap, trials_to_depress(q, r, target_exponent)) trials, is
     more than _MAX_TRIALS; a run that cannot cross (K = 0) counts at the
-    cap. The result is ordered by run index. `workers` is validated (>= 1) and
-    otherwise ignored: the runs are computed serially, and each depends on
-    its substream key (seed, run_index) alone.
+    cap. The result is ordered by run index. `workers` (>= 1) is validated
+    and otherwise ignored, and the CLI passes none: the runs are computed
+    serially, and each depends on its substream key (seed, run_index) alone.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if runs > _MAX_RUNS:
-        raise ValueError(f"{runs} runs are more than the {_MAX_RUNS} allowed")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    runs = _require_int("runs", runs, 1, _MAX_RUNS)
+    if workers is not None:
+        _require_int("workers", workers, 1)
     _check_game(q, r, target_exponent, cap, seed)
     trials = runs * min(cap, trials_to_depress(q, r, target_exponent))
     if trials > _MAX_TRIALS:
@@ -206,8 +202,7 @@ def sample_joint_outcomes(
     read off the Pauli correlation tensor T as
     p_ijk = T . (1, s_i n_a) x (1, s_j n_b) x (1, s_k n_c) / 8 with s = (+1, -1).
     """
-    if n < 0:
-        raise ValueError(f"sample count must be >= 0, got {n}")
+    n = _require_int("sample count", n, 0)
     corr = pauli_tensor(state)
     # row 0 of a leg is outcome +1, row 1 outcome -1
     legs = [np.array([np.r_[1.0, d], np.r_[1.0, -d]]) for d in map(_unit_vector, (n_a, n_b, n_c))]

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import DecayGeometry, _require_feasible, mercedes_geometry, polarization_vector
-from .tensor import (PAULI, PureState, _basis_index, _basis_label, _check_helicities,
-                     _frozen_array, apply_local, tensor3)
+from .tensor import (PureState, _basis_index, _basis_label, _check_helicities, _frozen_array,
+                     _sigma_dot, apply_local, tensor3)
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -82,10 +82,6 @@ def spin_amplitude_matrix(geometry: DecayGeometry, helicities) -> np.ndarray:
     it against that literal sum.
     """
     return _sigma_dot(amplitude_vector(geometry, helicities))
-
-
-def _sigma_dot(vec: np.ndarray) -> np.ndarray:
-    return vec[0] * PAULI[0] + vec[1] * PAULI[1] + vec[2] * PAULI[2]
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,11 @@ def _require_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+def _forbids(q: float, r: float) -> bool:
+    """r puts zero probability on an outcome q allows."""
+    return (q > 0.0 and r <= 0.0) or (q < 1.0 and r >= 1.0)
+
+
 def info_distance(q: float, r: float) -> float:
     """Kullback-Leibler distance K(q, r) in base-10 digits.
 
@@ -61,10 +66,8 @@ def info_distance(q: float, r: float) -> float:
     """
     _require_probability("q", q)
     _require_probability("r", r)
-    if q > 0.0 and r <= 0.0:
-        raise ValueError(f"r = {r} forbids an outcome with probability q = {q}")
-    if q < 1.0 and r >= 1.0:
-        raise ValueError(f"r = {r} forbids an outcome with probability 1 - q = {1.0 - q}")
+    if _forbids(q, r):
+        raise ValueError(f"r = {r} forbids an outcome that q = {q} allows")
     total = 0.0
     if q > 0.0:
         total += q * math.log10(q / r)
@@ -79,9 +82,7 @@ def _info_distance_extended(q: float, r: float) -> float:
     Used during optimization where candidate models may place zero weight on
     an observed outcome; such a model is infinitely distinguishable.
     """
-    if (q > 0.0 and r <= 0.0) or (q < 1.0 and r >= 1.0):
-        return math.inf
-    return info_distance(q, r)
+    return math.inf if _forbids(q, r) else info_distance(q, r)
 
 
 def _require_target(target_exponent: float) -> None:

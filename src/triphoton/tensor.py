@@ -7,6 +7,7 @@ sits at index 0b001 of the flat vector.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,19 @@ PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 
 # identity first, so index 0 of each correlation-tensor axis is "not measured"
 _SIGMA4 = np.stack((np.eye(2, dtype=complex),) + PAULI)
+
+
+def _require_int(name: str, value, low: int, high: int | None = None) -> int:
+    """value as an int in [low, high], read through operator.index: 1.5, 2.0 and '2' are refused."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if v < low:
+        raise ValueError(f"{name} must be >= {low}, got {v}")
+    if high is not None and v > high:
+        raise ValueError(f"{v} {name} are more than the {high} allowed")
+    return v
 
 
 def _check_helicities(helicities) -> tuple[int, ...]:
@@ -211,8 +225,11 @@ def _unit_vector(direction) -> np.ndarray:
 
 def bloch_observable(direction) -> LocalOperator:
     """Spin observable n . sigma for a unit Bloch vector n; eigenvalues +/-1."""
-    n = _unit_vector(direction)
-    return LocalOperator(n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z)
+    return LocalOperator(_sigma_dot(_unit_vector(direction)))
+
+
+def _sigma_dot(vec) -> np.ndarray:
+    return vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z
 
 
 def _require_three_qubits(state: PureState) -> None:

@@ -67,6 +67,12 @@ COMMANDS = (
         ["mermin", "extremize", "--state", "nope"],
         ["simulate", "--q", "0.5", "--r", "0.4", "--seed", "-1"],
         ["tangle-scan", "--step", "10", "--workers", "0"],
+        ["tangle-scan", "--step", "10", "--output", ""],
+        ["mermin", "extremize", "--state", "delta:"],
+        ["mermin", "extremize", "--state", "delta:90:1"],
+        ["simulate", "--q", "0.5", "--r", "1.5"],
+        ["simulate", "--q", "0.5", "--r", "-0.2"],
+        ["simulate", "--q", "0.5", "--r", "nan"],
     ]
 )
 

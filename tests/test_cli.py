@@ -309,7 +309,10 @@ def test_mermin_extremize_ghz(capsys):
 
 
 def test_mermin_extremize_unknown_state_exits_2(capsys):
-    assert run_cli(capsys, ["mermin", "extremize", "--state", "nope"])[0] == 2
+    for state in ("nope", "delta:", "delta:90:1"):
+        code, out, err = run_cli(capsys, ["mermin", "extremize", "--state", state])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: unknown state {state!r}") and err.count("\n") == 1
     code, _, err = run_cli(capsys, ["mermin", "extremize", "--starts", "2", "--seed", "-1"])
     assert code == 2
     assert "seed must be >= 0" in err
@@ -420,6 +423,11 @@ def test_simulate_argument_conflicts_exit_2(capsys):
             assert code == 2
             assert out == ""
             assert "target_exponent must be finite and positive" in err
+    # r is checked as a probability before the rule on forbidden outcomes
+    for bad in ("1.5", "-0.2", "nan"):
+        code, out, err = run_cli(capsys, ["simulate", "--q", "0.5", "--r", bad])
+        assert code == 2 and out == ""
+        assert err == f"error: r must lie in [0, 1], got {float(bad)}\n"
 
 
 def test_simulate_nonviolating_delta_exits_2(capsys):
@@ -449,6 +457,10 @@ def test_output_file_matches_stdout(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    # an empty --output, as from an unset shell variable, is not stdout
+    code, out, err = run_cli(capsys, ["tangle-scan", "--step", "10", "--output", ""])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write : ") and err.count("\n") == 1
 
 
 def _same_value(csv_cell: str, json_value) -> bool:

@@ -171,3 +171,9 @@ def test_tangle_scan_worker_count_does_not_change_bytes():
     base = tangle_scan(step_deg=5.0, workers=1).to_csv()
     for workers in (2, 3, 8):
         assert tangle_scan(step_deg=5.0, workers=workers).to_csv() == base
+
+
+def test_tangle_scan_refuses_a_worker_count_that_is_not_a_positive_integer():
+    for workers in (0, 1.5, "2"):
+        with pytest.raises(ValueError, match="workers must be"):
+            tangle_scan(step_deg=10.0, workers=workers)

@@ -290,6 +290,9 @@ def test_extremize_validates_starts():
         mermin_extremize(ghz_state(), starts=mermin._MAX_STARTS + 1)
     with pytest.raises(ValueError):
         mermin_extremize(ghz_state(), starts=4, seed=-1)
+    for kwargs, name in ((dict(starts=1.5), "starts"), (dict(starts=4, seed=1.5), "seed")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            mermin_extremize(ghz_state(), **kwargs)
 
 
 def test_lr_constraint_check_covers_all_assignments():

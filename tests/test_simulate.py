@@ -68,6 +68,20 @@ def test_input_validation():
         run_batch(0.5, 0.4, runs=3, seed=2**64)
     with pytest.raises(ValueError):
         run_batch(0.5, 0.4, runs=3, workers=0)
+    # integer arguments are refused, not truncated, when they are not integers
+    for func, kwargs, name in (
+        (run_batch, dict(runs=3, seed=1.5), "seed"),
+        (simulate_depression, dict(seed=1.5), "seed"),
+        (simulate_depression, dict(run_index=1.5), "run_index"),
+        (simulate_depression, dict(run_index=-1), "run_index"),
+        (simulate_depression, dict(run_index=2**64), "run_index"),
+        (simulate_depression, dict(cap=100.5), "cap"),
+        (run_batch, dict(runs=2.0), "runs"),
+        (run_batch, dict(runs=3, workers="2"), "workers"),
+        (run_batch, dict(runs=3, workers=1.5), "workers"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} "):
+            func(0.2, 0.3, **kwargs)
 
 
 def test_equal_probabilities_never_cross():
@@ -182,6 +196,8 @@ def test_sample_joint_outcomes_counts():
 def test_sample_joint_outcomes_validation(monkeypatch):
     with pytest.raises(ValueError):
         sample_joint_outcomes(ghz_state(), (1, 0, 0), (0, 1, 0), (0, 0, 1), -1)
+    with pytest.raises(ValueError, match="sample count must be an integer"):
+        sample_joint_outcomes(ghz_state(), (0, 0, 1), (0, 0, 1), (0, 0, 1), 2.5)
     # probabilities that sum to NaN are refused, not normalized and sampled
     monkeypatch.setattr(simulate, "pauli_tensor", lambda state: np.full((4, 4, 4), np.nan))
     with pytest.raises(ValueError, match="sum to nan"):
