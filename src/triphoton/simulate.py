@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .serialize import Table
-from .strength import _forbids, _require_probability, _require_target, trials_to_depress
+from .strength import _forbids, _log_ratios, _require_probability, trials_to_depress
 from .tensor import PureState, _frozen_array, _require_int, _unit_vector, pauli_tensor
 
 # Trials are drawn in blocks that start small and double, so a short run
@@ -54,16 +54,17 @@ class SimulationRun:
     trajectory: np.ndarray | None = None
 
 
-def _check_game(q: float, r: float, target_exponent: float, cap: int, seed: int) -> None:
-    """Refuse arguments that no run of the likelihood-ratio game can take."""
+def _check_game(q: float, r: float, target_exponent: float, cap: int, seed: int) -> float:
+    """Refuse arguments no run of the game can take; return the expected trials."""
     _require_probability("q", q)
     _require_probability("r", r)
     if _forbids(q, r):
         raise ValueError(f"model probability r = {r} forbids possible outcomes")
-    _require_target(target_exponent)
+    expected = trials_to_depress(q, r, target_exponent)
     _require_int("cap", cap, 1)
     if not _require_int("seed", seed, 0) < 2**64:  # a Philox key word holds 64 bits
         raise ValueError(f"seed must be below 2**64, got {seed}")
+    return expected
 
 
 def simulate_depression(
@@ -79,13 +80,20 @@ def simulate_depression(
 
     q = 1 hits deterministically every trial; q = r never crosses (the
     expected_trials field is then inf and the run ends capped). Per-trial
-    increments are log10(q/r) on a hit and log10((1-q)/(1-r)) on a miss.
+    increments are -log10(q/r) on a hit and -log10((1-q)/(1-r)) on a miss,
+    the two log ratios K(q, r) averages.
     """
-    _check_game(q, r, target_exponent, cap, seed)
+    expected = _check_game(q, r, target_exponent, cap, seed)
     _require_int("run_index", run_index, 0, 2**64 - 1)
-    expected = trials_to_depress(q, r, target_exponent)
-    up = math.log10(q / r) if q > 0.0 else 0.0
-    dn = math.log10((1.0 - q) / (1.0 - r)) if q < 1.0 else 0.0
+    return _play(q, r, target_exponent, cap, seed, run_index, expected, keep_trajectory)
+
+
+def _play(
+    q: float, r: float, target_exponent: float, cap: int, seed: int, run_index: int,
+    expected: float, keep_trajectory: bool = False,
+) -> SimulationRun:
+    """One run of the game on arguments _check_game has already accepted."""
+    hit, miss = _log_ratios(q, r)
 
     # a uint64 key: numpy reads a list holding a word >= 2**63 as float64,
     # which rounds distinct seeds onto one stream
@@ -100,7 +108,7 @@ def simulate_depression(
     pieces: list[np.ndarray] = []
     while done < cap:
         take = min(block, cap - done)
-        steps = np.where(rng.random(take) < q, -up, -dn)
+        steps = np.where(rng.random(take) < q, -hit, -miss)
         steps[0] += acc  # one sequential sum, however the draws are blocked
         partial = np.cumsum(steps)
         if keep_trajectory:
@@ -172,23 +180,21 @@ def run_batch(
     Before any run starts, a batch is refused when its expected work,
     runs x min(cap, trials_to_depress(q, r, target_exponent)) trials, is
     more than _MAX_TRIALS; a run that cannot cross (K = 0) counts at the
-    cap. The result is ordered by run index. `workers` (>= 1) is validated
-    and otherwise ignored, and the CLI passes none: the runs are computed
-    serially, and each depends on its substream key (seed, run_index) alone.
+    cap. The batch is checked once, and run i equals simulate_depression with
+    run_index=i. The result is ordered by run index. `workers` (>= 1) is
+    validated and otherwise ignored, and the CLI passes none: the runs are
+    computed serially, each depending on its key (seed, run_index) alone.
     """
     runs = _require_int("runs", runs, 1, _MAX_RUNS)
     if workers is not None:
         _require_int("workers", workers, 1)
-    _check_game(q, r, target_exponent, cap, seed)
-    trials = runs * min(cap, trials_to_depress(q, r, target_exponent))
+    expected = _check_game(q, r, target_exponent, cap, seed)
+    trials = runs * min(cap, expected)
     if trials > _MAX_TRIALS:
         raise ValueError(
             f"{runs} runs expect about {trials:.3g} trials, more than the {_MAX_TRIALS} allowed"
         )
-    results = [
-        simulate_depression(q, r, target_exponent=target_exponent, cap=cap, seed=seed, run_index=i)
-        for i in range(runs)
-    ]
+    results = [_play(q, r, target_exponent, cap, seed, i, expected) for i in range(runs)]
     return SimulationBatch(runs=tuple(results))
 
 
@@ -203,6 +209,7 @@ def sample_joint_outcomes(
     p_ijk = T . (1, s_i n_a) x (1, s_j n_b) x (1, s_k n_c) / 8 with s = (+1, -1).
     """
     n = _require_int("sample count", n, 0)
+    seed = _require_int("seed", seed, 0)
     corr = pauli_tensor(state)
     # row 0 of a leg is outcome +1, row 1 outcome -1
     legs = [np.array([np.r_[1.0, d], np.r_[1.0, -d]]) for d in map(_unit_vector, (n_a, n_b, n_c))]

@@ -25,7 +25,7 @@ import numpy as np
 from .mermin import triple_expectation, yx_settings
 from .states import delta_family_state, delta_range
 from .serialize import ScanGrid, Table
-from .tensor import PureState, ghz_state
+from .tensor import PureState, _require_int, ghz_state
 
 #: Published benchmark for the two-photon singlet experiment, kept as a fixed
 #: reference row; it is not recomputed here.
@@ -56,6 +56,14 @@ def _forbids(q: float, r: float) -> bool:
     return (q > 0.0 and r <= 0.0) or (q < 1.0 and r >= 1.0)
 
 
+def _log_ratios(q: float, r: float) -> tuple[float, float]:
+    """log10(q/r) for a hit and log10((1-q)/(1-r)) for a miss, 0 for an outcome
+    q rules out: K averages this pair, and the refutation game steps by it."""
+    hit = math.log10(q / r) if q > 0.0 else 0.0
+    miss = math.log10((1.0 - q) / (1.0 - r)) if q < 1.0 else 0.0
+    return hit, miss
+
+
 def info_distance(q: float, r: float) -> float:
     """Kullback-Leibler distance K(q, r) in base-10 digits.
 
@@ -68,21 +76,19 @@ def info_distance(q: float, r: float) -> float:
     _require_probability("r", r)
     if _forbids(q, r):
         raise ValueError(f"r = {r} forbids an outcome that q = {q} allows")
-    total = 0.0
-    if q > 0.0:
-        total += q * math.log10(q / r)
-    if q < 1.0:
-        total += (1.0 - q) * math.log10((1.0 - q) / (1.0 - r))
-    return total
+    return _info_distance_extended(q, r)
 
 
 def _info_distance_extended(q: float, r: float) -> float:
-    """info_distance, but mismatched endpoints give +inf instead of raising.
+    """K(q, r) for q, r in [0, 1], but mismatched endpoints give +inf, not a raise.
 
     Used during optimization where candidate models may place zero weight on
     an observed outcome; such a model is infinitely distinguishable.
     """
-    return math.inf if _forbids(q, r) else info_distance(q, r)
+    if _forbids(q, r):
+        return math.inf
+    hit, miss = _log_ratios(q, r)
+    return q * hit + (1.0 - q) * miss
 
 
 def _require_target(target_exponent: float) -> None:
@@ -114,7 +120,8 @@ def depressing_factor(q: float, r: float, n: int, m: int) -> float:
     """
     _require_probability("q", q)
     _require_probability("r", r)
-    if n < 0 or m < 0 or m > n:
+    n, m = _require_int("n", n, 0), _require_int("m", m, 0)
+    if m > n:
         raise ValueError(f"need 0 <= m <= n, got m = {m}, n = {n}")
     total = 0.0
     if m > 0:
@@ -246,8 +253,6 @@ def best_lr_model(q1_or_model, q2: float | None = None, target_exponent: float =
     for slope, shift, lo, hi in sides:
         for r1 in _side_candidates(q1, q2v, slope, shift, lo, hi):
             r2 = slope * r1 + shift
-            if not (0.0 <= r1 <= 1.0 and 0.0 <= r2 <= 1.0):
-                continue
             k1 = _info_distance_extended(q1, r1)
             k2 = _info_distance_extended(q2v, r2)
             worst = max(k1, k2)

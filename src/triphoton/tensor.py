@@ -198,7 +198,7 @@ def reduced_density(state: PureState, party: int) -> DensityMatrix:
         Index of the party to keep; 0 is party A (most significant bit).
     """
     n = state.n_qubits
-    if not 0 <= party < n:
+    if not _require_int("party", party, 0) < n:
         raise ValueError(f"party index {party} out of range for {n} qubits")
     t = np.moveaxis(state.tensor, party, 0).reshape(2, -1)
     return DensityMatrix(t @ t.conj().T)

@@ -183,6 +183,21 @@ def kl_digits(q, r):
     return total
 
 
+def mp_info_distance(q, r, dps=50):
+    """K(q, r) in base-10 digits from mpmath at dps digits: the natural-log
+    relative entropy of the float inputs, taken exactly, over ln 10."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        q, r = mpmath.mpf(q), mpmath.mpf(r)
+        nats = mpmath.mpf(0)
+        if q > 0:
+            nats += q * mpmath.log(q / r)
+        if q < 1:
+            nats += (1 - q) * mpmath.log((1 - q) / (1 - r))
+        return float(nats / mpmath.log(10))
+
+
 GHZ_TRIALS = 4.0 / np.log10(4.0 / 3.0)  # 32.015691...
 
 

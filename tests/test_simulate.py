@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -147,6 +148,32 @@ def test_batch_ordering_and_worker_independence():
     assert text.splitlines()[0] == "run_index,seed,crossing_trial,capped"
 
 
+@pytest.mark.parametrize(
+    "q, r, kwargs",
+    [
+        (1 / 6, 0.3148, dict(seed=3)),  # every run crosses
+        (1.0, 0.75, dict(seed=5)),  # q = 1 hits every trial
+        (0.5, 0.5, dict(seed=2, cap=300)),  # q = r never crosses: every run capped
+        (0.2, 0.3, dict(seed=2**63 + 1, cap=5000)),  # a seed past 2**63
+    ],
+)
+def test_batch_runs_equal_single_runs(q, r, kwargs):
+    batch = run_batch(q, r, runs=12, **kwargs)
+    assert all(run.capped for run in batch.runs) == (q == r)
+    for i, run in enumerate(batch.runs):
+        single = simulate_depression(q, r, run_index=i, **kwargs)
+        for field in dataclasses.fields(simulate.SimulationRun):
+            assert getattr(run, field.name) == getattr(single, field.name), field.name
+
+
+def test_a_batch_checks_its_game_once(monkeypatch):
+    calls = []
+    check = simulate._check_game
+    monkeypatch.setattr(simulate, "_check_game", lambda *args: calls.append(args) or check(*args))
+    assert len(run_batch(1 / 6, 0.3148, runs=50, seed=1).runs) == 50
+    assert len(calls) == 1
+
+
 def test_seeds_above_2_to_the_63_keep_distinct_streams():
     # numpy would read a list key holding 2**63 or more as float64, which
     # maps 2**63 + 1 onto 2**63 and 2**64 - 1 onto seed 0
@@ -198,6 +225,9 @@ def test_sample_joint_outcomes_validation(monkeypatch):
         sample_joint_outcomes(ghz_state(), (1, 0, 0), (0, 1, 0), (0, 0, 1), -1)
     with pytest.raises(ValueError, match="sample count must be an integer"):
         sample_joint_outcomes(ghz_state(), (0, 0, 1), (0, 0, 1), (0, 0, 1), 2.5)
+    for seed in (1.5, 2.0, "3", -1):
+        with pytest.raises(ValueError, match="^seed must"):
+            sample_joint_outcomes(ghz_state(), (0, 0, 1), (0, 0, 1), (0, 0, 1), 10, seed=seed)
     # probabilities that sum to NaN are refused, not normalized and sampled
     monkeypatch.setattr(simulate, "pauli_tensor", lambda state: np.full((4, 4, 4), np.nan))
     with pytest.raises(ValueError, match="sum to nan"):

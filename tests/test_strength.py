@@ -38,6 +38,28 @@ def test_info_distance_positivity_and_zero():
         assert info_distance(q, q) == 0.0
 
 
+def test_info_distance_matches_the_mpmath_oracle():
+    # away from q = r the float formula holds to 1e-13 relative; closer in,
+    # its two O(q - r) terms cancel (2e-10 at |q - r| ~ 1e-3)
+    rng = np.random.default_rng(12)
+    axis = np.linspace(0.0, 1.0, 41).tolist()
+    pairs = [(q, r) for q in axis for r in axis]
+    pairs += [tuple(map(float, p)) for p in rng.uniform(0.0, 1.0, (2000, 2))]
+    checked = 0
+    for q, r in pairs:
+        if abs(q - r) < 0.05 or (q > 0.0 and r <= 0.0) or (q < 1.0 and r >= 1.0):
+            continue
+        expected = oracles.mp_info_distance(q, r)
+        assert info_distance(q, r) == pytest.approx(expected, rel=1e-13, abs=0.0)
+        checked += 1
+    assert checked > 2000
+    # at q on an endpoint one term drops out, and with r (or 1 - r) a power
+    # of two the closed form -log10(r) (or -log10(1 - r)) comes out exact
+    for k in range(1, 53):
+        for q, r in ((1.0, 2.0**-k), (0.0, 1.0 - 2.0**-k)):
+            assert info_distance(q, r) == oracles.mp_info_distance(q, r)
+
+
 def test_info_distance_domain_errors():
     with pytest.raises(ValueError):
         info_distance(0.5, 0.0)
@@ -84,8 +106,12 @@ def test_depressing_factor_endpoint_conventions():
     assert depressing_factor(0.5, 1.0, 4, 3) == -math.inf
     with pytest.raises(ValueError):
         depressing_factor(0.0, 0.0, 4, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 0 <= m <= n"):
         depressing_factor(0.3, 0.2, 3, 5)
+    # the counts are integers: 2.5 trials or 1.0 hits are refused, not used
+    for n, m, name in ((2.5, 1, "n"), ("3", 1, "n"), (-1, 0, "n"), (4, 1.0, "m"), (4, -1, "m")):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            depressing_factor(0.5, 0.4, n, m)
     # probabilities outside [0, 1] raise instead of giving nan or +/-inf
     for q, r, name in ((math.nan, 0.5, "q"), (1.5, 0.5, "q"), (0.5, -0.2, "r"), (0.5, math.nan, "r")):
         with pytest.raises(ValueError, match=f"{name} must lie in"):

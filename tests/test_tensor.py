@@ -120,6 +120,14 @@ def test_reduced_density_matches_loop_oracle():
             assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 
 
+def test_reduced_density_party_validation():
+    for party in (1.5, "1", -1):
+        with pytest.raises(ValueError, match="^party must"):
+            reduced_density(ghz_state(), party)
+    with pytest.raises(ValueError, match="party index 3 out of range for 3 qubits"):
+        reduced_density(ghz_state(), 3)
+
+
 def test_single_party_purity_bounds():
     rng = np.random.default_rng(32)
     for _ in range(25):
