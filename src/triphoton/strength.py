@@ -11,14 +11,15 @@ the target log-odds exponent by that minimax distance. Both distances are
 convex in r1 along a saturating family, so the minimax is found by bounded
 scalar minimization.
 
-All information distances are in base-10 digits per trial. scipy is imported
-on the first call of `minimize_scalar` or `brentq` (by `best_lr_model`), not
-with the module.
+All information distances are in base-10 digits per trial. The bounded
+minimizer and the root polish are pure-Python ports of scipy's routines
+(`minimize_scalar` and `brentq` below), so the module needs no scipy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,18 +33,116 @@ from .tensor import PureState, _require_int, ghz_state
 SINGLET_REFERENCE_TRIALS = 200.0
 
 
-def minimize_scalar(*args, **kwargs):
-    """scipy.optimize.minimize_scalar, with scipy imported on the first call."""
-    from scipy import optimize
-
-    return optimize.minimize_scalar(*args, **kwargs)
+_Minimum = NamedTuple("_Minimum", [("x", float), ("nfev", int)])
 
 
-def brentq(*args, **kwargs):
-    """scipy.optimize.brentq, with scipy imported on the first call."""
-    from scipy import optimize
+def _sign(v: float) -> float:
+    """numpy.sign(v) + (v == 0): +1 or -1, with +1 for either zero (NaN stays NaN)."""
+    return 1.0 if v >= 0.0 else -1.0 if v < 0.0 else v
 
-    return optimize.brentq(*args, **kwargs)
+
+def minimize_scalar(func, lo: float, hi: float, xatol: float = 1e-5) -> _Minimum:
+    """Minimum of `func` on [lo, hi] by Brent's golden-section and parabolic
+    steps, with at most 500 evaluations; returns the point x and nfev.
+
+    A port of scipy.optimize.minimize_scalar(method="bounded") (its
+    `_minimize_scalar_bounded`): the same floating-point operations in the
+    same order, so it visits the same points and returns the same x and nfev.
+    tests/test_strength.py holds it bit-identical to scipy.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = func(xf)
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > tol2 - 0.5 * (b - a) or num >= 500:
+            return _Minimum(xf, num)
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the last three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * 2.0**-52,
+           maxiter: int = 100) -> float:
+    """Root of `f` in [a, b] by Brent's bracketing interpolation and bisection.
+
+    A port of scipy.optimize.brentq (scipy/optimize/Zeros/brentq.c): the same
+    floating-point operations in the same order, so it returns the same root.
+    Returns a or b at once when f vanishes there; raises ValueError when f(a)
+    and f(b) have the same sign and RuntimeError after maxiter steps without
+    convergence. tests/test_strength.py holds it bit-identical to scipy.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):  # brentq.c's signbit test, on nonzero values
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        bisect = True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bisect = not 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (sbis, sbis) if bisect else (scur, stry)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _require_probability(name: str, value: float) -> None:
@@ -194,11 +293,7 @@ def _side_candidates(q1: float, q2: float, slope: float, shift: float, lo: float
         _info_distance_extended(q1, r1),
         _info_distance_extended(q2, slope * r1 + shift),
     )
-    eps = 1e-15
-    res = minimize_scalar(
-        worst, bounds=(lo + eps, hi - eps), method="bounded", options={"xatol": 1e-13}
-    )
-    x = float(res.x)
+    x = minimize_scalar(worst, lo + 1e-15, hi - 1e-15, xatol=1e-13).x
     # the bounded minimizer stalls near sqrt(eps)*|x|; when the minimum is an
     # interior crossing of the two distances, polish it as a root of their
     # difference, which bisection resolves to machine precision
@@ -211,7 +306,7 @@ def _side_candidates(q1: float, q2: float, slope: float, shift: float, lo: float
     if a < b:
         fa, fb = diff(a), diff(b)
         if math.isfinite(fa) and math.isfinite(fb) and fa * fb < 0.0:
-            x = float(brentq(diff, a, b, xtol=1e-15, rtol=8.9e-16))
+            x = brentq(diff, a, b, xtol=1e-15, rtol=8.9e-16)
     yield x
     yield lo
     yield hi

@@ -22,11 +22,13 @@ _SIGMA4 = np.stack((np.eye(2, dtype=complex),) + PAULI)
 
 
 def _require_int(name: str, value, low: int, high: int | None = None) -> int:
-    """value as an int in [low, high], read through operator.index: 1.5, 2.0 and '2' are refused."""
+    """value as an int in [low, high] via operator.index; 1.5, 2.0, '2' and True are refused."""
     try:
         v = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        v = None
+    if v is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if v < low:
         raise ValueError(f"{name} must be >= {low}, got {v}")
     if high is not None and v > high:
@@ -267,10 +269,10 @@ def random_local_unitary(rng) -> LocalOperator:
     Parameters
     ----------
     rng : numpy.random.Generator or int
-        Generator to draw from, or a seed used to create one.
+        Generator to draw from, or a non-negative integer seed used to create one.
     """
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+        rng = np.random.default_rng(_require_int("seed", rng, 0))
     z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)

@@ -163,14 +163,14 @@ def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(list(argv)) == 0
 
-scipy_loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 run("state", "--geometry", "120,120")
 run("tangle-scan", "--step", "10")
 run("mermin", "sweep", "--delta", "0:180:30")
 run("mermin", "extremize", "--starts", "2")
-before = scipy_loaded()
 run("strength", "table")
-print(json.dumps({"before": before, "after": scipy_loaded()}))
+run("strength", "sweep", "--delta", "80:180:20")
+run("simulate", "--delta", "120", "--runs", "2")
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
 
@@ -181,16 +181,12 @@ def _src_env() -> dict:
     return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
-def test_scipy_loads_only_on_first_use():
+def test_no_command_loads_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True, env=_src_env()
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert loaded["before"] == []
-    # the local-model minimax needs scipy.optimize, and nothing needs scipy.stats
-    assert "scipy.optimize" in loaded["after"]
-    assert "scipy.stats" not in loaded["after"]
+    assert json.loads(proc.stdout) == []
 
 
 def test_tangle_scan_identical_across_workers_and_reruns(capsys):

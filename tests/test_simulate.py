@@ -80,6 +80,7 @@ def test_input_validation():
         (run_batch, dict(runs=2.0), "runs"),
         (run_batch, dict(runs=3, workers="2"), "workers"),
         (run_batch, dict(runs=3, workers=1.5), "workers"),
+        (run_batch, dict(runs=True), "runs"),
     ):
         with pytest.raises(ValueError, match=f"{name} "):
             func(0.2, 0.3, **kwargs)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+import triphoton.strength as strength
 from triphoton import (
     EventModel,
     SINGLET_REFERENCE_TRIALS,
@@ -17,6 +18,7 @@ from triphoton import (
     strength_table,
     trials_to_depress,
 )
+from triphoton.states import delta_range
 
 
 def test_info_distance_basic_values():
@@ -109,7 +111,9 @@ def test_depressing_factor_endpoint_conventions():
     with pytest.raises(ValueError, match="need 0 <= m <= n"):
         depressing_factor(0.3, 0.2, 3, 5)
     # the counts are integers: 2.5 trials or 1.0 hits are refused, not used
-    for n, m, name in ((2.5, 1, "n"), ("3", 1, "n"), (-1, 0, "n"), (4, 1.0, "m"), (4, -1, "m")):
+    for n, m, name in (
+        (2.5, 1, "n"), ("3", 1, "n"), (-1, 0, "n"), (4, 1.0, "m"), (4, -1, "m"), (True, False, "n")
+    ):
         with pytest.raises(ValueError, match=f"^{name} must"):
             depressing_factor(0.5, 0.4, n, m)
     # probabilities outside [0, 1] raise instead of giving nan or +/-inf
@@ -245,3 +249,56 @@ def test_strength_sweep_columns_and_flags():
 def test_strength_sweep_is_monotone_in_the_violating_region():
     ns = strength_delta_sweep(100.0, 180.0, 10.0).column("n_trials")
     assert all(b < a for a, b in zip(ns, ns[1:]))
+
+
+def _recorded(fn, calls):
+    """fn, appending each of its results to calls."""
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append(result)
+        return result
+    return wrapper
+
+
+def test_minimax_ports_match_scipy_bit_for_bit(monkeypatch):
+    # scipy is the oracle for the ports of its bounded minimizer and brentq:
+    # every report field and every minimizer's (x, nfev) must come out equal
+    from scipy import optimize
+
+    deltas = np.concatenate((delta_range(80.0, 180.0, 0.25), delta_range(85.8, 86.5, 0.001)))
+    models = [event_probabilities(delta_family_state(float(d))) for d in deltas]
+    rng = np.random.default_rng(13)
+    random = [m for m in map(EventModel, *rng.uniform(0.0, 1.0, (2, 6600)).tolist()) if m.violates]
+    models += random[:2000] + [EventModel(1.0, 0.0), EventModel(0.0, 1.0), EventModel(1.0, 1.0)]
+    assert len(models) == len(deltas) + 2003
+
+    def run(minimize, root):
+        minima, roots = [], []
+        monkeypatch.setattr(strength, "minimize_scalar", _recorded(minimize, minima))
+        monkeypatch.setattr(strength, "brentq", _recorded(root, roots))
+        reports = [best_lr_model(m) for m in models]
+        return reports, [(float(m.x), m.nfev) for m in minima], roots
+
+    port = run(strength.minimize_scalar, strength.brentq)
+    scipy_bounded = lambda f, lo, hi, xatol: optimize.minimize_scalar(
+        f, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+    )
+    assert port == run(scipy_bounded, optimize.brentq)
+    # one minimizer call per side of every violating model
+    assert len(port[1]) == 2 * sum(m.violates for m in models) and port[2]
+
+
+def test_brentq_edges_match_scipy():
+    from scipy import optimize
+
+    line = lambda x: x - 0.25
+    for a, b in ((0.25, 1.0), (0.0, 0.25)):  # f(a) == 0, then f(b) == 0
+        assert strength.brentq(line, a, b) == optimize.brentq(line, a, b) in (a, b)
+    for module in (strength, optimize):
+        with pytest.raises(ValueError, match="different signs"):
+            module.brentq(line, 0.5, 1.0)
+        for maxiter in (0, 1, 3):
+            with pytest.raises(RuntimeError, match=f"after {maxiter} iterations"):
+                module.brentq(lambda x: math.exp(x) - 2.0, 0.0, 5.0, maxiter=maxiter)
+    f = lambda x: math.cos(x) - x
+    assert strength.brentq(f, 0.0, 1.0) == optimize.brentq(f, 0.0, 1.0)

@@ -121,7 +121,7 @@ def test_reduced_density_matches_loop_oracle():
 
 
 def test_reduced_density_party_validation():
-    for party in (1.5, "1", -1):
+    for party in (1.5, "1", -1, True):
         with pytest.raises(ValueError, match="^party must"):
             reduced_density(ghz_state(), party)
     with pytest.raises(ValueError, match="party index 3 out of range for 3 qubits"):
@@ -194,6 +194,15 @@ def test_random_local_unitary_seed_determinism():
     a = random_local_unitary(123).matrix
     b = random_local_unitary(123).matrix
     assert np.array_equal(a, b)
+
+
+def test_random_local_unitary_seed_validation():
+    for seed in (1.5, "3", -1, True):
+        with pytest.raises(ValueError, match="^seed must"):
+            random_local_unitary(seed)
+    # an int seed and a Generator seeded alike draw the same unitary
+    expected = random_local_unitary(np.random.default_rng(2**63)).matrix
+    assert np.array_equal(random_local_unitary(2**63).matrix, expected)
 
 
 def test_random_local_unitary_first_entry_statistics():
