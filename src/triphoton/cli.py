@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
+import textwrap
 from dataclasses import dataclass
 
 from . import __version__
 from .invariants import tangle_scan
 from .kinematics import DecayGeometry, FeasibilityError, geometry_from_angles
 from .mermin import mermin_delta_sweep, mermin_extremize
-from .serialize import ScanGrid, Table, _cell, format_number, rows_to_csv
+from .serialize import ScanGrid, Table, _cell, format_number, rows_to_csv, rows_to_json
 from .simulate import run_batch
 from .states import delta_family_state, ortho_state
 from .strength import best_lr_model, event_probabilities, strength_delta_sweep, strength_table
@@ -103,14 +105,11 @@ class _StateReport:
         return rows_to_csv(("basis", "amplitude_re", "amplitude_im"), self.rows)
 
     def to_json(self) -> str:
-        amplitudes = ",\n".join(
-            f'    {{"basis": "{basis}", "re": {_cell(re, True)}, "im": {_cell(im, True)}}}'
-            for basis, re, im in self.rows
-        )
+        amplitudes = textwrap.indent(rows_to_json(("basis", "re", "im"), self.rows), "  ")
         return (
             f'{{\n  "theta12_deg": {_cell(self.geometry.theta12_deg, True)},\n'
             f'  "theta13_deg": {_cell(self.geometry.theta13_deg, True)},\n'
-            f'  "spin_z": {self.spin_z},\n  "amplitudes": [\n{amplitudes}\n  ]\n}}\n'
+            f'  "spin_z": {self.spin_z},\n  "amplitudes": {amplitudes.lstrip()}}}\n'
         )
 
 
@@ -186,6 +185,12 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors keep the one-line stderr contract:
     `error: <message>` and exit 2, without the usage block. Subparsers are
     created with the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a separate token that starts with "-" as an option
+        # unless it is a plain number; -inf, -1e-300 and -5,10 are values too
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

@@ -221,8 +221,8 @@ def delta_family_state(delta_deg: float) -> PureState:
 
 
 # Most rows a delta range may have. A row costs about 0.15 ms in the Mermin
-# sweep and 1 ms in the strength sweep, so this bounds a sweep to minutes
-# and its deltas to 8 MB; a finer range is refused before allocating.
+# sweep and 0.5 ms in the strength sweep (2 CPUs), so this bounds a sweep to
+# minutes and its deltas to 8 MB; a finer range is refused before allocating.
 _MAX_DELTA_ROWS = 1_000_000
 
 

@@ -7,9 +7,7 @@ expectations E = 2q - 1 the Mermin combination reads 6 q1 - 2 q2 - 2, so a
 local-realistic model saturating the bound at -2 must satisfy r2 = 3 r1
 (and r2 = 3 r1 - 2 at +2). The most stubborn admissible model minimizes
 the larger of the two Kullback-Leibler distances; the trial count divides
-the target log-odds exponent by that minimax distance. Both distances are
-convex in r1 along a saturating family, so the minimax is found by bounded
-scalar minimization.
+the target log-odds exponent by that minimax distance.
 
 All information distances are in base-10 digits per trial. The bounded
 minimizer and the root polish are pure-Python ports of scipy's routines
@@ -280,36 +278,46 @@ class StrengthReport:
     target_exponent: float
 
 
-def _side_candidates(q1: float, q2: float, slope: float, shift: float, lo: float, hi: float):
-    """Candidate r1 values for one saturated bound side.
+# (slope, shift, lo, hi): r2 = slope * r1 + shift for r1 in [lo, hi] saturates
+# the Mermin bound at -2, then at +2
+_SIDES = ((3.0, 0.0, 0.0, 1.0 / 3.0), (3.0, -2.0, 2.0 / 3.0, 1.0))
 
-    max(K(q1, r1), K(q2, slope*r1 + shift)) is convex on the segment
-    (Kullback-Leibler distance is convex in its second argument), so the
-    bounded scalar minimizer finds its unique interior minimum; the exact
-    segment ends are added because a distance can vanish there when the
-    corresponding q sits on an endpoint itself.
+
+def _minimax(q1: float, q2: float) -> tuple[float, float, float, float, float]:
+    """(worst, r1, r2, k1, k2) of the saturating local model that minimizes
+    worst = max(k1, k2), where k1 = K(q1, r1) and k2 = K(q2, r2).
+
+    On each side, worst is convex in r1 (K is convex in its second argument),
+    so the bounded minimizer finds its unique interior minimum. It stalls near
+    sqrt(eps)*|x|, so an interior crossing of k1 and k2 is polished as a root
+    of their difference, which bisection resolves to machine precision. The
+    segment ends are candidates too: a distance can vanish there when its q
+    sits on an endpoint. The first smallest finite worst wins; RuntimeError
+    when no candidate is finite.
     """
-    worst = lambda r1: max(
-        _info_distance_extended(q1, r1),
-        _info_distance_extended(q2, slope * r1 + shift),
-    )
-    x = minimize_scalar(worst, lo + 1e-15, hi - 1e-15, xatol=1e-13).x
-    # the bounded minimizer stalls near sqrt(eps)*|x|; when the minimum is an
-    # interior crossing of the two distances, polish it as a root of their
-    # difference, which bisection resolves to machine precision
-    diff = lambda r1: (
-        _info_distance_extended(q1, r1)
-        - _info_distance_extended(q2, slope * r1 + shift)
-    )
-    a = max(lo + 1e-12, x - 1e-6)
-    b = min(hi - 1e-12, x + 1e-6)
-    if a < b:
-        fa, fb = diff(a), diff(b)
-        if math.isfinite(fa) and math.isfinite(fb) and fa * fb < 0.0:
-            x = brentq(diff, a, b, xtol=1e-15, rtol=8.9e-16)
-    yield x
-    yield lo
-    yield hi
+    best = None
+    for slope, shift, lo, hi in _SIDES:
+        worst = lambda r1: max(
+            _info_distance_extended(q1, r1), _info_distance_extended(q2, slope * r1 + shift)
+        )
+        x = minimize_scalar(worst, lo + 1e-15, hi - 1e-15, xatol=1e-13).x
+        diff = lambda r1: (
+            _info_distance_extended(q1, r1) - _info_distance_extended(q2, slope * r1 + shift)
+        )
+        a, b = max(lo + 1e-12, x - 1e-6), min(hi - 1e-12, x + 1e-6)
+        if a < b:
+            fa, fb = diff(a), diff(b)
+            if math.isfinite(fa) and math.isfinite(fb) and fa * fb < 0.0:
+                x = brentq(diff, a, b, xtol=1e-15, rtol=8.9e-16)
+        for r1 in (x, lo, hi):
+            r2 = slope * r1 + shift
+            k1, k2 = _info_distance_extended(q1, r1), _info_distance_extended(q2, r2)
+            value = max(k1, k2)
+            if math.isfinite(value) and (best is None or value < best[0]):
+                best = (value, r1, r2, k1, k2)
+    if best is None:
+        raise RuntimeError("no admissible local model found; probabilities degenerate")
+    return best
 
 
 def best_lr_model(q1_or_model, q2: float | None = None, target_exponent: float = 4.0) -> StrengthReport:
@@ -339,26 +347,7 @@ def best_lr_model(q1_or_model, q2: float | None = None, target_exponent: float =
             target_exponent=target_exponent,
         )
 
-    # (slope, shift, r1 segment) for the two saturated sides of the bound
-    sides = (
-        (3.0, 0.0, 0.0, 1.0 / 3.0),
-        (3.0, -2.0, 2.0 / 3.0, 1.0),
-    )
-    best: tuple[float, float, float, float, float] | None = None
-    for slope, shift, lo, hi in sides:
-        for r1 in _side_candidates(q1, q2v, slope, shift, lo, hi):
-            r2 = slope * r1 + shift
-            k1 = _info_distance_extended(q1, r1)
-            k2 = _info_distance_extended(q2v, r2)
-            worst = max(k1, k2)
-            if not math.isfinite(worst):
-                continue
-            if best is None or worst < best[0]:
-                best = (worst, r1, r2, k1, k2)
-    if best is None:
-        raise RuntimeError("no admissible local model found; probabilities degenerate")
-
-    worst, r1, r2, k1, k2 = best
+    worst, r1, r2, k1, k2 = _minimax(q1, q2v)
     return StrengthReport(
         q1=q1, q2=q2v, r1=r1, r2=r2, k1=k1, k2=k2,
         n_trials=target_exponent / worst,

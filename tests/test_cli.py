@@ -119,7 +119,7 @@ def test_unknown_command_exits_2(capsys):
         ["bogus"],
         ["mermin"],
         ["state", "--sz", "2", "--geometry", "120,120"],
-        ["state", "--geometry", "-5,10"],  # read as an option, so no value
+        ["state", "--geometry", "-5,10"],  # a separate negative value, see below
         ["tangle-scan", "--step", "-inf"],
         ["mermin", "extremize", "--starts", "x"],
         ["simulate", "--q", "0.2", "--r", "0.3", "--runs", "2", "--bogus"],
@@ -130,6 +130,28 @@ def test_argparse_errors_print_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["tangle-scan", "--step", "-inf"], "step must lie in (0, 10] degrees, got -inf"),
+        (["tangle-scan", "--step", "-1e-300"], "step must lie in (0, 10] degrees, got -1e-300"),
+        (
+            ["state", "--geometry", "-5,10"],
+            "theta12_deg must lie strictly inside (0, 360) deg, got -5.0",
+        ),
+        (
+            ["mermin", "sweep", "--delta", "-30:180:30"],
+            "delta range must stay within [0, 180] degrees",
+        ),
+    ],
+)
+def test_a_separate_negative_value_reaches_its_check(capsys, argv, message):
+    """argparse reads a token that starts with "-" as an option unless it is a
+    plain number; the CLI's parser also takes -inf, -1e-300 and -5,10 as
+    values, so the value's own check names it."""
+    assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 def test_help_still_exits_0(capsys):

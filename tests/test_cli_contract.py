@@ -4,9 +4,10 @@ exits 0, 2 or 3, and a failure prints nothing on stdout and exactly one
 
 Valid values come from small ranges so that accepted commands stay fast;
 edge values (non-finite, signed zero, negative, denormal, tiny, huge) are
-mixed in. Options are mostly passed as `--name=value`, so the values reach
-the program's own checks: argparse reads a separate `-inf` or `-1e-300` as
-an option flag and rejects the command itself, also with one line.
+mixed in. Options are mostly passed as `--name=value`; the separate-token
+properties pass the value as its own argument (`--step -inf`, `--geometry
+-5,10`) and check that it, too, reaches the program's own checks instead of
+being read as an option with no value.
 """
 import contextlib
 import io
@@ -42,7 +43,8 @@ def outputs(tmp_path_factory):
     return {None: None, "missing": root / "missing" / "out.csv", "directory": root}
 
 
-def _check(argv, options, outputs) -> None:
+def _check(argv, options, outputs) -> str:
+    """Run argv with the options; check the exit code and streams, return stderr."""
     fmt, workers, output = options[0], options[1], outputs[options[2]]
     argv = [*argv, f"--format={fmt}"]
     if workers is not None:
@@ -61,6 +63,7 @@ def _check(argv, options, outputs) -> None:
         )
     elif output is None:
         assert out.getvalue(), argv
+    return err.getvalue()
 
 
 @_CONTRACT
@@ -76,9 +79,21 @@ def test_tangle_scan_contract(outputs, step, options):
 
 
 @_CONTRACT
-@given(st.one_of(_number(4.0, 10.0), st.sampled_from((-1e-300, -5.0))), _options)
+@given(
+    st.one_of(_number(4.0, 10.0).map(repr), st.sampled_from(("-inf", "-nan", "-1e-300", "-5.0"))),
+    _options,
+)
 def test_tangle_scan_contract_with_separate_values(outputs, step, options):
-    _check(["tangle-scan", "--step", repr(step)], options, outputs)
+    err = _check(["tangle-scan", "--step", step], options, outputs)
+    assert "expected one argument" not in err, step
+
+
+@_CONTRACT
+@given(_number(-200.0, 200.0), _number(60.0, 200.0), _options)
+def test_state_contract_with_separate_values(outputs, theta12, theta13, options):
+    geometry = f"{theta12!r},{theta13!r}"
+    err = _check(["state", "--geometry", geometry], options, outputs)
+    assert "expected one argument" not in err, geometry
 
 
 @_CONTRACT
