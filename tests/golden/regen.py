@@ -52,6 +52,12 @@ COMMANDS = (
     + [
         ["mermin", "sweep", "--delta", "0:180:1"],
         ["strength", "sweep", "--delta", "80:180:1", "--format", "json"],
+        # the violation threshold band, where one ulp of q1 moves n_trials
+        ["mermin", "sweep", "--delta", "85.8:86.5:0.001"],
+        ["strength", "sweep", "--delta", "85.8:86.5:0.001"],
+        # ranges longer than one chunk of the stacked delta-family pass
+        ["mermin", "sweep", "--delta", "0:180:0.05"],
+        ["strength", "sweep", "--delta", "0:180:0.1"],
         ["strength", "table", "--format", "json"],
         ["simulate", "--q", "1", "--r", "0.75", "--runs", "3", "--seed", "5"],
         ["simulate", "--q", "0.2", "--r", "0.3", "--runs", "20", "--seed", "7"],
