@@ -22,7 +22,8 @@ import numpy as np
 from .kinematics import _require_finite_angles
 from .serialize import ScanGrid
 from .states import delta_family_state, delta_range
-from .tensor import PureState, _require_int, _unit_vector, pauli_tensor
+from .tensor import PureState, _pauli_tensor, _require_int, _require_normalized
+from .tensor import _unit_vector, pauli_tensor
 
 _ANGLE_NAMES = ("theta_deg", "phi_deg", "theta_prime_deg", "phi_prime_deg")
 
@@ -87,24 +88,24 @@ def yx_settings() -> ObservableSettings:
     return ObservableSettings(unprimed=(0.0, 1.0, 0.0), primed=(1.0, 0.0, 0.0))
 
 
-def _expectation(corr: np.ndarray, a, b, c) -> float:
-    """(a.sigma) x (b.sigma) x (c.sigma) read off a Pauli correlation tensor."""
-    return float(np.einsum("ijk,i,j,k->", corr[1:, 1:, 1:], a, b, c))
+def _expectation(corr: np.ndarray, a, b, c) -> np.ndarray:
+    """(a.sigma) x (b.sigma) x (c.sigma) off a Pauli tensor or each of a (..., 4, 4, 4) stack."""
+    return np.einsum("...ijk,i,j,k->...", corr[..., 1:, 1:, 1:], a, b, c)
 
 
-def _mermin(corr: np.ndarray, n, p) -> float:
+def _mermin(corr: np.ndarray, n, p) -> np.ndarray:
     e = lambda a, b, c: _expectation(corr, a, b, c)
     return e(p, n, n) + e(n, p, n) + e(n, n, p) - e(p, p, p)
 
 
 def triple_expectation(state: PureState, n_a, n_b, n_c) -> float:
     """<state| (n_a.sigma) x (n_b.sigma) x (n_c.sigma) |state> for unit vectors."""
-    return _expectation(pauli_tensor(state), *map(_unit_vector, (n_a, n_b, n_c)))
+    return float(_expectation(pauli_tensor(state), *map(_unit_vector, (n_a, n_b, n_c))))
 
 
 def mermin_value(state: PureState, settings: ObservableSettings) -> float:
     """Four-term Mermin combination at the given symmetric settings."""
-    return _mermin(pauli_tensor(state), settings.unprimed, settings.primed)
+    return float(_mermin(pauli_tensor(state), settings.unprimed, settings.primed))
 
 
 def _symmetrized(corr: np.ndarray) -> np.ndarray:
@@ -140,7 +141,7 @@ def _value_gradient_hessian(
     hess[2:, 2:] = -jp.T @ s_p @ jp + curv_p @ grad_p
     hess[:2, 2:] = jn.T @ s_n @ jp
     hess[2:, :2] = hess[:2, 2:].T
-    return _mermin(corr, n, p), np.concatenate((grad_n @ jn, grad_p @ jp)), hess
+    return float(_mermin(corr, n, p)), np.concatenate((grad_n @ jn, grad_p @ jp)), hess
 
 
 def mermin_gradient(state: PureState, angles_deg) -> np.ndarray:
@@ -372,8 +373,9 @@ def mermin_extremize(state: PureState, starts: int = 64, seed: int = 0) -> Mermi
             clusters[key] = (value, folded)
 
     points = []
-    for value, x in sorted(clusters.values(), key=lambda e: e[0]):
-        grad_norm = float(np.linalg.norm(fun(x)[1]))
+    for _, x in sorted(clusters.values(), key=lambda e: e[0]):
+        value, grad, _ = fun(x)  # at the printed, folded angles, not the Newton point
+        grad_norm = float(np.linalg.norm(grad))
         angles = tuple(float(a) for a in np.degrees(x))
         points.append(
             MerminResult(
@@ -387,6 +389,20 @@ def mermin_extremize(state: PureState, starts: int = 64, seed: int = 0) -> Mermi
     return replace(points[0], points=tuple(points))
 
 
+_DELTA_CHUNK = 1024  # states per stacked Pauli pass: 1 MB of tensors at most
+
+
+def _over_delta_family(deltas: np.ndarray, read) -> np.ndarray:
+    """read(T), concatenated, over the Pauli tensors T of the delta-family states: one stacked
+    pass per chunk, each state built alone (arrays round alpha differently) and checked."""
+    parts = []
+    for start in range(0, len(deltas), _DELTA_CHUNK):
+        states = map(delta_family_state, deltas[start : start + _DELTA_CHUNK])
+        stack = np.stack([_require_normalized(state).tensor for state in states])
+        parts.append(read(_pauli_tensor(stack)))
+    return np.concatenate(parts)
+
+
 def mermin_delta_sweep(start_deg: float, stop_deg: float, step_deg: float) -> ScanGrid:
     """Mermin value of the delta family at the fixed y/x settings.
 
@@ -395,8 +411,8 @@ def mermin_delta_sweep(start_deg: float, stop_deg: float, step_deg: float) -> Sc
     curve crosses zero near delta = 85.88 degrees).
     """
     deltas = delta_range(start_deg, stop_deg, step_deg)
-    settings = yx_settings()
-    values = np.array([mermin_value(delta_family_state(d), settings) for d in deltas])
+    yx = yx_settings()
+    values = _over_delta_family(deltas, lambda corr: _mermin(corr, yx.unprimed, yx.primed))
     return ScanGrid(
         axis_names=("delta_deg",),
         axes=(deltas,),

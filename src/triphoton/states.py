@@ -220,8 +220,8 @@ def delta_family_state(delta_deg: float) -> PureState:
     return PureState(amp)
 
 
-# Most rows a delta range may have. A row costs about 0.15 ms in the Mermin
-# sweep and 0.5 ms in the strength sweep (2 CPUs), so this bounds a sweep to
+# Most rows a delta range may have. A row costs about 0.08 ms in the Mermin
+# sweep and 0.3-0.4 ms in the strength sweep (2 CPUs), so this bounds a sweep to
 # minutes and its deltas to 8 MB; a finer range is refused before allocating.
 _MAX_DELTA_ROWS = 1_000_000
 

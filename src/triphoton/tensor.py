@@ -239,11 +239,12 @@ def _require_three_qubits(state: PureState) -> None:
         raise ValueError(f"expected a three-qubit state, got {state.n_qubits} qubits")
 
 
-def _require_normalized(state: PureState) -> None:
-    """Refuse anything but a normalized three-qubit state."""
+def _require_normalized(state: PureState) -> PureState:
+    """The state, if it is a normalized three-qubit state; anything else is refused."""
     _require_three_qubits(state)
     if not abs(state.norm() ** 2 - 1.0) <= 1e-12:
         raise ValueError("state must be normalized (squared norm within 1e-12 of 1)")
+    return state
 
 
 def pauli_tensor(state: PureState) -> np.ndarray:
@@ -254,9 +255,12 @@ def pauli_tensor(state: PureState) -> np.ndarray:
     the probability of outcomes (s, t, u) in {+1, -1}^3 along those
     directions is T contracted with (1, s a), (1, t b), (1, u c), over 8.
     """
-    _require_normalized(state)
-    t = state.tensor
-    corr = np.einsum("abc,iax,jby,kcz,xyz->ijk", t.conj(), _SIGMA4, _SIGMA4, _SIGMA4, t)
+    return _pauli_tensor(_require_normalized(state).tensor)
+
+
+def _pauli_tensor(t: np.ndarray) -> np.ndarray:
+    """pauli_tensor of each amplitude tensor of a (..., 2, 2, 2) stack, norms unchecked."""
+    corr = np.einsum("...abc,iax,jby,kcz,...xyz->...ijk", t.conj(), _SIGMA4, _SIGMA4, _SIGMA4, t)
     residue = float(np.abs(corr.imag).max())
     if not residue <= 1e-10:
         raise ValueError(f"expectation has nonreal residue {residue}")

@@ -264,6 +264,19 @@ def test_extremize_ghz_reaches_minus_four():
     assert pole_rows >= 1
 
 
+def test_extremize_values_are_read_at_the_printed_angles():
+    # the GHZ point at theta' = 180 has value 0 up to sin(pi) = 1.2e-16 dust;
+    # the unfolded Newton point beside it gave 9.3e-22 and 4.7e-21
+    for starts, seed in ((64, 0), (16, 1)):
+        points = mermin_extremize(ghz_state(), starts=starts, seed=seed).points
+        (pole,) = [p for p in points if p.angles_deg[2] == 180.0]
+        assert abs(pole.value) <= 1e-40
+        for state in (delta_family_state(120.0), ghz_state(), delta_family_state(90.0),
+                      delta_family_state(150.0)):
+            for point in mermin_extremize(state, starts=starts, seed=seed).points:
+                assert abs(point.value - mermin_value(state, point.settings)) <= 1e-14
+
+
 def test_extremize_is_deterministic():
     a = mermin_extremize(delta_family_state(120.0), starts=16, seed=5)
     b = mermin_extremize(delta_family_state(120.0), starts=16, seed=5)
@@ -320,6 +333,13 @@ def test_delta_sweep_matches_closed_form():
     for d, v, viol in zip(deltas, values, violations):
         assert v == pytest.approx(oracles.delta_mermin_yx(d), abs=1e-12)
         assert viol == pytest.approx(-v - 2.0, abs=1e-12)
+
+
+def test_delta_sweep_reads_each_states_mermin_value():
+    grid = mermin_delta_sweep(0.0, 180.0, 0.05)
+    assert grid.axes[0].size > mermin._DELTA_CHUNK
+    expected = [mermin_value(delta_family_state(d), yx_settings()) for d in grid.axes[0]]
+    assert np.array_equal(grid.column("mermin_value"), expected)
 
 
 def test_violation_threshold_location():

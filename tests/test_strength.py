@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from triphoton import (
     event_probabilities,
     ghz_state,
     info_distance,
+    mermin_delta_sweep,
     strength_delta_sweep,
     strength_table,
     trials_to_depress,
 )
 from triphoton.states import delta_range
+from triphoton.tensor import pauli_tensor
 
 
 def test_info_distance_basic_values():
@@ -220,6 +223,28 @@ def test_event_probabilities_for_reference_states():
     assert g.q2 == 1.0
     inside = event_probabilities(delta_family_state(60.0))
     assert not inside.violates
+
+
+def test_yx_events_match_event_probabilities():
+    states = [ghz_state()] + [delta_family_state(d) for d in delta_range(0.0, 180.0, 7.5)]
+    events = strength._yx_events(np.stack([pauli_tensor(s) for s in states]))
+    for (q1, q2), state in zip(events, states):
+        model = event_probabilities(state)
+        assert (q1, q2) == (model.q1, model.q2)
+    assert events[0].tolist() == [0.0, 1.0]  # GHZ: both snapped to an endpoint
+
+
+def test_delta_sweeps_hold_memory_to_a_chunk():
+    # 18001 and 3601 rows: stacking every state at once would peak near
+    # 29 MiB and 6 MiB; a chunk of the stacked pass stays below 2 MiB
+    for sweep, step in ((mermin_delta_sweep, 0.01), (strength_delta_sweep, 0.05)):
+        tracemalloc.start()
+        try:
+            sweep(0.0, 180.0, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, (sweep.__name__, peak)
 
 
 def test_strength_table_contents():

@@ -11,6 +11,7 @@ from triphoton import (
     apply_local,
     basis_state,
     bloch_observable,
+    delta_family_state,
     ghz_state,
     inner,
     purity,
@@ -18,7 +19,8 @@ from triphoton import (
     reduced_density,
     tensor3,
 )
-from triphoton.tensor import _basis_index, _basis_label, pauli_tensor
+from triphoton.states import delta_range
+from triphoton.tensor import _basis_index, _basis_label, _pauli_tensor, pauli_tensor
 
 
 def test_pure_state_rejects_non_power_of_two():
@@ -176,6 +178,17 @@ def test_pauli_tensor_matches_dense_kronecker_products():
         pauli_tensor(PureState(2.0 * amp))
     with pytest.raises(ValueError, match="expected a three-qubit state, got 2 qubits"):
         pauli_tensor(PureState(np.array([1.0, 0.0, 0.0, 0.0])))
+
+
+@pytest.mark.parametrize("size", [1, 1024, 1025])
+def test_a_stacked_pauli_tensor_is_each_states_tensor(size):
+    rng = np.random.default_rng(size)
+    family = [delta_family_state(d) for d in delta_range(0.0, 180.0, 180.0 / (size - 1 or 1))]
+    randoms = [PureState(oracles.random_state(rng)) for _ in range(size)]
+    for states in (family[:size], randoms):
+        stack = _pauli_tensor(np.stack([s.tensor for s in states]))
+        assert stack.shape == (size, 4, 4, 4)
+        assert all(np.array_equal(t, pauli_tensor(s)) for t, s in zip(stack, states))
 
 
 def test_local_operator_unitarity_flag():
