@@ -361,10 +361,8 @@ def best_lr_model(q1_or_model, q2: float | None = None, target_exponent: float =
 
 
 def _yx_events(corr: np.ndarray) -> np.ndarray:
-    """(q1, q2) on the last axis, for a Pauli tensor or a (..., 4, 4, 4) stack:
-    the chances (1 + E)/2 that the single-primed (x, y, y) and the all-primed
-    (x, x, x) outcome products are +1 at the y/x settings, with float dust
-    within 1e-12 of an exact 0 or 1 snapped to it."""
+    """event_probabilities' (q1, q2) on the last axis, for a Pauli tensor or a
+    (..., 4, 4, 4) stack; float dust within 1e-12 of 0 or 1 is snapped to it."""
     settings = yx_settings()
     n, p = settings.unprimed, settings.primed
     q = (1.0 + np.stack((_expectation(corr, p, n, n), _expectation(corr, p, p, p)), -1)) / 2.0
@@ -372,7 +370,8 @@ def _yx_events(corr: np.ndarray) -> np.ndarray:
 
 
 def event_probabilities(state: PureState) -> EventModel:
-    """(q1, q2) for a state at the fixed y/x settings; see _yx_events."""
+    """(q1, q2) for a state: the chances (1 + E)/2 that the single-primed (x, y, y)
+    and the all-primed (x, x, x) outcome products are +1 at the fixed y/x settings."""
     return EventModel(*map(float, _yx_events(pauli_tensor(state))))
 
 

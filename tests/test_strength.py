@@ -236,7 +236,7 @@ def test_yx_events_match_event_probabilities():
 
 def test_delta_sweeps_hold_memory_to_a_chunk():
     # 18001 and 3601 rows: stacking every state at once would peak near
-    # 29 MiB and 6 MiB; a chunk of the stacked pass stays below 2 MiB
+    # 29 MiB and 6 MiB; chunks of the stacked pass keep both near 2 MiB
     for sweep, step in ((mermin_delta_sweep, 0.01), (strength_delta_sweep, 0.05)):
         tracemalloc.start()
         try:
