@@ -16,7 +16,8 @@ import numpy as np
 from .kinematics import DecayGeometry, _feasible
 from .serialize import ScanGrid
 from .states import ortho_amplitudes, ortho_state
-from .tensor import PureState, _require_int, _require_normalized, reduced_density
+from .tensor import PureState, _require_int, _require_normalized, _require_three_qubits
+from .tensor import reduced_density
 
 _EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -46,8 +47,8 @@ def _tangle(t: np.ndarray) -> np.ndarray:
 
 def tangle(state: PureState) -> float:
     """Entanglement tangle of a normalized three-qubit state, in [0, 1/4]."""
-    _require_normalized(state)
-    return float(_tangle(state.tensor))
+    _require_three_qubits(state)
+    return float(_tangle(_require_normalized(state.tensor)))
 
 
 @dataclass(frozen=True)

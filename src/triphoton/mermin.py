@@ -21,7 +21,8 @@ import numpy as np
 
 from .kinematics import _require_finite_angles
 from .serialize import ScanGrid
-from .states import delta_family_state, delta_range
+# delta_family_state is unused here; bench/tracer.py counts calls under this name
+from .states import _delta_family_tensor, delta_family_state, delta_range
 from .tensor import PureState, _pauli_tensor, _require_int, _require_normalized
 from .tensor import _unit_vector, pauli_tensor
 
@@ -389,17 +390,16 @@ def mermin_extremize(state: PureState, starts: int = 64, seed: int = 0) -> Mermi
     return replace(points[0], points=tuple(points))
 
 
-_DELTA_CHUNK = 1024  # states per stacked Pauli pass: 1 MB of tensors at most
+_DELTA_CHUNK = 1024  # states per stacked Pauli pass: 1 MiB of Pauli tensors, 1.6 MiB peak
 
 
 def _over_delta_family(deltas: np.ndarray, read) -> np.ndarray:
-    """read(T), concatenated, over the Pauli tensors T of the delta-family states: one stacked
-    pass per chunk, each state built alone (arrays round alpha differently) and checked."""
+    """read(T), concatenated, over the Pauli tensors T of the delta-family states: per
+    chunk of deltas, one array build, one norm check and one stacked Pauli pass."""
     parts = []
     for start in range(0, len(deltas), _DELTA_CHUNK):
-        states = map(delta_family_state, deltas[start : start + _DELTA_CHUNK])
-        stack = np.stack([_require_normalized(state).tensor for state in states])
-        parts.append(read(_pauli_tensor(stack)))
+        stack = _delta_family_tensor(deltas[start : start + _DELTA_CHUNK])
+        parts.append(read(_pauli_tensor(_require_normalized(stack))))
     return np.concatenate(parts)
 
 

@@ -193,13 +193,25 @@ def mercedes_state() -> PureState:
     return ortho_state(mercedes_geometry(), 0)
 
 
-def _delta_alpha(delta_deg: float) -> tuple[float, float]:
-    """delta as a float checked to lie in [0, 180] degrees, and the family's
-    normalization alpha = 1/sqrt(2 (1 + cos^3(delta/2)))."""
-    d = float(delta_deg)
-    if not 0.0 <= d <= 180.0:
+def _delta_alpha(delta_deg) -> tuple[np.ndarray, np.ndarray]:
+    """delta (one or an array) as floats checked to lie in [0, 180] degrees, and
+    the family's normalization alpha = 1/sqrt(2 (1 + cos^3(delta/2)))."""
+    d = np.asarray(delta_deg, dtype=float)
+    if not ((0.0 <= d) & (d <= 180.0)).all():
         raise ValueError(f"delta must lie in [0, 180] degrees, got {delta_deg}")
-    return d, 1.0 / np.sqrt(2.0 * (1.0 + np.cos(np.radians(d) / 2.0) ** 3))
+    # float_power rounds the cube as the scalar power does; an array's ** 3 does not
+    return d, 1.0 / np.sqrt(2.0 * (1.0 + np.float_power(np.cos(np.radians(d) / 2.0), 3)))
+
+
+def _delta_family_tensor(deltas) -> np.ndarray:
+    """Complex amplitude tensors, shape (..., 2, 2, 2), of delta_family_state at
+    each delta of an array (a single delta gives shape (2, 2, 2))."""
+    d, alpha = _delta_alpha(deltas)
+    quarter = np.radians(180.0 - d) / 4.0
+    c, s = np.cos(quarter), np.sin(quarter)
+    cube = lambda w: w[..., :, None, None] * w[..., None, :, None] * w[..., None, None, :]
+    uuu, vvv = cube(np.stack((c, s), axis=-1)), cube(np.stack((s, c), axis=-1))
+    return (alpha[..., None, None, None] * (uuu + vvv)).astype(complex)
 
 
 def delta_family_state(delta_deg: float) -> PureState:
@@ -211,17 +223,11 @@ def delta_family_state(delta_deg: float) -> PureState:
     delta = 0 a single product state, and delta = 120 a local-unitary
     equivalent of the symmetric three-photon decay state.
     """
-    d, alpha = _delta_alpha(delta_deg)
-    quarter = np.radians(180.0 - d) / 4.0
-    c, s = np.cos(quarter), np.sin(quarter)
-    u = np.array([c, s])
-    v = np.array([s, c])
-    amp = alpha * (tensor3(u, u, u).amplitudes + tensor3(v, v, v).amplitudes)
-    return PureState(amp)
+    return PureState(_delta_family_tensor(delta_deg))
 
 
-# Most rows a delta range may have. A row costs about 0.08 ms in the Mermin
-# sweep and 0.3-0.4 ms in the strength sweep (2 CPUs), so this bounds a sweep to
+# Most rows a delta range may have. A row costs about 0.01 ms in the Mermin
+# sweep and 0.15-0.3 ms in the strength sweep (2 CPUs), so this bounds a sweep to
 # minutes and its deltas to 8 MB; a finer range is refused before allocating.
 _MAX_DELTA_ROWS = 1_000_000
 

@@ -19,6 +19,8 @@ PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 
 # identity first, so index 0 of each correlation-tensor axis is "not measured"
 _SIGMA4 = np.stack((np.eye(2, dtype=complex),) + PAULI)
+# every s_i x s_j x s_k as one operand; entries 0, +-1 and +-i, so none is rounded
+_SIGMA9 = np.einsum("iax,jby,kcz->ijkabcxyz", _SIGMA4, _SIGMA4, _SIGMA4)
 
 
 def _require_int(name: str, value, low: int, high: int | None = None) -> int:
@@ -239,12 +241,12 @@ def _require_three_qubits(state: PureState) -> None:
         raise ValueError(f"expected a three-qubit state, got {state.n_qubits} qubits")
 
 
-def _require_normalized(state: PureState) -> PureState:
-    """The state, if it is a normalized three-qubit state; anything else is refused."""
-    _require_three_qubits(state)
-    if not abs(state.norm() ** 2 - 1.0) <= 1e-12:
+def _require_normalized(t: np.ndarray) -> np.ndarray:
+    """t, if every amplitude tensor of the (..., 2, 2, 2) stack t is normalized."""
+    squared = (t.conj() * t).real.sum(axis=(-3, -2, -1))
+    if not (abs(squared - 1.0) <= 1e-12).all():  # NaN fails every comparison
         raise ValueError("state must be normalized (squared norm within 1e-12 of 1)")
-    return state
+    return t
 
 
 def pauli_tensor(state: PureState) -> np.ndarray:
@@ -255,12 +257,13 @@ def pauli_tensor(state: PureState) -> np.ndarray:
     the probability of outcomes (s, t, u) in {+1, -1}^3 along those
     directions is T contracted with (1, s a), (1, t b), (1, u c), over 8.
     """
-    return _pauli_tensor(_require_normalized(state).tensor)
+    _require_three_qubits(state)
+    return _pauli_tensor(_require_normalized(state.tensor))
 
 
 def _pauli_tensor(t: np.ndarray) -> np.ndarray:
     """pauli_tensor of each amplitude tensor of a (..., 2, 2, 2) stack, norms unchecked."""
-    corr = np.einsum("...abc,iax,jby,kcz,...xyz->...ijk", t.conj(), _SIGMA4, _SIGMA4, _SIGMA4, t)
+    corr = np.einsum("...abc,ijkabcxyz,...xyz->...ijk", t.conj(), _SIGMA9, t)
     residue = float(np.abs(corr.imag).max())
     if not residue <= 1e-10:
         raise ValueError(f"expectation has nonreal residue {residue}")

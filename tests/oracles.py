@@ -138,6 +138,14 @@ def dense_pauli_expectation(amplitudes, i, j, k):
     return _dense_expectation(amplitudes, basis[i], basis[j], basis[k])
 
 
+def five_operand_pauli_tensor(t):
+    """Real part of <s_i x s_j x s_k> for each (..., 2, 2, 2) amplitude tensor,
+    contracted with one single-party operator stack per party."""
+    sigma = np.stack((np.eye(2, dtype=complex),) + _PAULI)
+    corr = np.einsum("...abc,iax,jby,kcz,...xyz->...ijk", np.conj(t), sigma, sigma, sigma, t)
+    return corr.real
+
+
 def _angle_direction(theta, phi):
     return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
 

@@ -6,8 +6,8 @@ Valid values come from small ranges so that accepted commands stay fast;
 edge values (non-finite, signed zero, negative, denormal, tiny, huge) are
 mixed in. Options are mostly passed as `--name=value`; the separate-token
 properties pass the value as its own argument (`--step -inf`, `--geometry
--5,10`) and check that it, too, reaches the program's own checks instead of
-being read as an option with no value.
+-5,10`, `--delta -30:180:30`) and check that it, too, reaches the program's
+own checks instead of being read as an option with no value.
 """
 import contextlib
 import io
@@ -103,6 +103,28 @@ def test_mermin_sweep_contract(outputs, start, stop, step, options):
 
 
 @_CONTRACT
+@given(_number(0.0, 180.0), _number(0.0, 180.0), _number(5.0, 180.0), _options)
+def test_strength_sweep_contract(outputs, start, stop, step, options):
+    _check(["strength", "sweep", f"--delta={start!r}:{stop!r}:{step!r}"], options, outputs)
+
+
+@_CONTRACT
+@given(
+    st.sampled_from(("-30:180:30", "-0.0:180:45", "-inf:180:30", "-nan:90:5", "-1e-300:90:30")),
+    _options,
+)
+def test_strength_sweep_contract_with_separate_values(outputs, delta, options):
+    err = _check(["strength", "sweep", "--delta", delta], options, outputs)
+    assert "expected one argument" not in err, delta
+
+
+@_CONTRACT
+@given(_options)
+def test_strength_table_contract(outputs, options):
+    _check(["strength", "table"], options, outputs)
+
+
+@_CONTRACT
 @given(
     st.one_of(st.integers(-2, 3), st.sampled_from((10**4 + 1, 10**9))),
     st.integers(-1, 3),
@@ -127,3 +149,10 @@ def test_mermin_extremize_contract(outputs, starts, seed, options):
 def test_simulate_contract(outputs, q, r, runs, seed, options):
     argv = ["simulate", f"--q={q!r}", f"--r={r!r}", f"--runs={runs}", f"--seed={seed}"]
     _check(argv, options, outputs)
+
+
+@_CONTRACT
+@given(_number(0.0, 180.0), st.integers(-2, 3), st.sampled_from(("csv", "json")))
+def test_simulate_delta_contract(outputs, delta, runs, fmt):
+    # stdout and no --workers, so that a violating delta with runs >= 1 exits 0
+    _check(["simulate", f"--delta={delta!r}", f"--runs={runs}"], (fmt, None, None), outputs)

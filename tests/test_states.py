@@ -23,7 +23,7 @@ from triphoton import (
     spin_projection_state,
     tangle,
 )
-from triphoton.states import ProductDecomposition
+from triphoton.states import ProductDecomposition, _delta_family_tensor, delta_range
 from triphoton.tensor import PAULI
 
 
@@ -226,6 +226,39 @@ def test_delta_family_normalization_and_range():
         delta_family_state(180.5)
     with pytest.raises(ValueError):
         delta_family_minimal(181.0)
+
+
+def _oracle_family_tensor(delta_deg):
+    u, v, alpha = oracles.delta_state_vectors(delta_deg)
+    cube = lambda w: np.einsum("a,b,c->abc", w, w, w)
+    return alpha * (cube(u) + cube(v))
+
+
+@pytest.mark.parametrize(
+    "deltas",
+    [
+        delta_range(0.0, 180.0, 0.1),
+        delta_range(0.0, 180.0, 0.05),
+        delta_range(85.8, 86.5, 0.001),  # the violation threshold band
+        np.random.default_rng(18).uniform(0.0, 180.0, 20_000),
+    ],
+    ids=["0:180:0.1", "0:180:0.05", "85.8:86.5:0.001", "uniform"],
+)
+def test_delta_family_tensor_is_the_oracle_state_bit_for_bit(deltas):
+    got = _delta_family_tensor(deltas)
+    assert got.shape == deltas.shape + (2, 2, 2) and got.dtype == complex
+    assert all(np.array_equal(t, _oracle_family_tensor(d)) for t, d in zip(got, deltas))
+
+
+def test_delta_family_tensor_of_one_delta_is_the_state():
+    for d in (0.0, 85.88, 120.0, np.float64(150.25), 180.0):
+        got = _delta_family_tensor(d)
+        assert got.shape == (2, 2, 2)
+        assert np.array_equal(got, _oracle_family_tensor(d))
+        assert np.array_equal(got, delta_family_state(d).tensor)
+    for bad in (np.array([0.0, 180.5]), np.array([np.nan, 90.0])):
+        with pytest.raises(ValueError, match=r"^delta must lie in \[0, 180\] degrees"):
+            _delta_family_tensor(bad)
 
 
 def test_delta_family_endpoints():

@@ -19,8 +19,9 @@ from triphoton import (
     reduced_density,
     tensor3,
 )
-from triphoton.states import delta_range
-from triphoton.tensor import _basis_index, _basis_label, _pauli_tensor, pauli_tensor
+from triphoton.states import _delta_family_tensor, delta_range
+from triphoton.tensor import _basis_index, _basis_label, _pauli_tensor, _require_normalized
+from triphoton.tensor import pauli_tensor
 
 
 def test_pure_state_rejects_non_power_of_two():
@@ -189,6 +190,28 @@ def test_a_stacked_pauli_tensor_is_each_states_tensor(size):
         stack = _pauli_tensor(np.stack([s.tensor for s in states]))
         assert stack.shape == (size, 4, 4, 4)
         assert all(np.array_equal(t, pauli_tensor(s)) for t, s in zip(stack, states))
+
+
+def test_pauli_tensor_is_the_five_operand_contraction_bit_for_bit():
+    rng = np.random.default_rng(18)
+    family = _delta_family_tensor(delta_range(0.0, 180.0, 0.05))
+    randoms = np.stack([oracles.random_state(rng).reshape(2, 2, 2) for _ in range(4096)])
+    for stack in (family, randoms):
+        for start in range(0, len(stack), 1024):
+            chunk = stack[start : start + 1024]
+            assert np.array_equal(_pauli_tensor(chunk), oracles.five_operand_pauli_tensor(chunk))
+        for t in stack[::211]:
+            assert np.array_equal(_pauli_tensor(t), oracles.five_operand_pauli_tensor(t))
+
+
+def test_a_stack_is_refused_for_any_one_unnormalized_member():
+    stack = np.stack([ghz_state().tensor] * 5)
+    assert _require_normalized(stack) is stack
+    for bad in (1.0 + 1e-11, np.nan):
+        broken = stack.copy()
+        broken[3] *= bad
+        with pytest.raises(ValueError, match=r"^state must be normalized \(squared norm within"):
+            _require_normalized(broken)
 
 
 def test_local_operator_unitarity_flag():
