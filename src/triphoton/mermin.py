@@ -7,9 +7,10 @@ the full four-term sum E(n',n,n) + E(n,n',n) + E(n,n,n') - E(n',n',n'),
 which reduces to 3E - E' on permutation-symmetric states and respects the
 |M| <= 2 product-state bound for asymmetric ones as well.
 
-The extremizer needs no scipy: `minimize` is a damped Newton iteration on
-the exact Hessian of the trilinear form, run from the start points of
-`_halton`.
+The extremizer needs neither scipy nor numpy.random: `minimize` is a damped
+Newton iteration on the exact Hessian of the trilinear form, run from the
+start points of `_halton`, whose permutations `_pcg64_words32` and
+`_shuffled` draw as numpy's default_rng would.
 """
 from __future__ import annotations
 
@@ -201,23 +202,97 @@ class MerminResult:
     points: tuple["MerminResult", ...] = field(default=())
 
 
+_MASK32 = 0xFFFF_FFFF
+_MASK64 = 2**64 - 1
+_MASK128 = 2**128 - 1
+# SeedSequence's hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+
+
+def _pcg64_words32(seed: int):
+    """The 32-bit words that numpy's default_rng(seed) draws with next32, in order.
+
+    SeedSequence(seed) hashes the seed's 32-bit little-endian words into a
+    four-word pool (words past the fourth are mixed in after it), and its
+    generate_state(4, uint64) seeds PCG64 as pcg_setseq_128_srandom_r does.
+    Each XSL-RR 64-bit output yields its low half, then its buffered high half.
+    """
+    entropy = [seed & _MASK32]
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const, state = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    # uint64 words are little-endian pairs; each 128-bit constant is (high, low)
+    words = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+    inc = (words[2] << 64 | words[3]) << 1 | 1
+    # srandom_r: from state 0, step, add the seed, step; each draw steps, then outputs
+    lcg = ((inc + (words[0] << 64 | words[1])) * _PCG_MULT + inc) & _MASK128
+    while True:
+        lcg = (lcg * _PCG_MULT + inc) & _MASK128
+        xored, rot = (lcg >> 64 ^ lcg) & _MASK64, lcg >> 122
+        out = (xored >> rot | xored << (64 - rot)) & _MASK64
+        yield out & _MASK32
+        yield out >> 32
+
+
+def _shuffled(size: int, words) -> list[int]:
+    """range(size) as numpy's Generator.shuffle permutes a 1-d array: for i
+    from size - 1 down to 1, swap with j drawn by random_interval(i), the
+    smallest all-ones mask covering i applied to next32, redrawn while > i."""
+    perm = list(range(size))
+    for i in range(size - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        while (j := next(words) & mask) > i:
+            pass
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def _halton(n: int, seed: int) -> np.ndarray:
     """First n points of the scrambled Halton sequence in [0, 1)^4.
 
     Owen's randomized Halton (arXiv:1706.02808): bases 2, 3, 5, 7, each
     radical-inverse digit mapped through its own random permutation. The
-    permutations are drawn in the order scipy.stats.qmc.Halton(d=4,
-    scramble=True, seed=seed) draws them, so the points equal scipy's bit
-    for bit.
+    permutations are the shuffles scipy.stats.qmc.Halton(d=4, scramble=True,
+    seed=seed) draws from np.random.default_rng(seed), reproduced by
+    `_pcg64_words32` and `_shuffled` without loading numpy.random, so the
+    points equal scipy's bit for bit.
     """
-    rng = np.random.default_rng(seed)
+    words = _pcg64_words32(seed)
     index = np.arange(n)
     columns = []
     for base in (2, 3, 5, 7):
         # one permutation per digit that still moves a double: base**-k > 2**-54
-        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
+        digits = math.ceil(54 / math.log2(base)) - 1
+        perms = np.array([_shuffled(base, words) for _ in range(digits)])
         q, v, b2r = index.copy(), np.zeros(n), 1.0 / base
         for perm in perms:
             v += perm[q % base] * b2r

@@ -20,20 +20,24 @@ from .serialize import Table
 from .strength import _forbids, _log_ratios, _require_probability, trials_to_depress
 from .tensor import PureState, _frozen_array, _require_int, _unit_vector, pauli_tensor
 
-# Trials are drawn in blocks that start small and double, so a short run
-# draws little. A Philox stream yields the same values however its draws are
-# split, so the trials of a (seed, run_index) never depend on the blocking.
+# Trials are drawn in blocks that start small and double up to a ceiling, so
+# a short run draws little and a long one holds at most 4096 draws (32 KiB) at
+# a time: the tracemalloc peak of a 4*10^6-trial run is about 0.1 MiB. A
+# Philox stream yields the same values however its draws are split, so the
+# trials of a (seed, run_index) never depend on the blocking.
 _FIRST_BLOCK = 256
+_BLOCK_CEILING = 4096
 
-# Most runs a batch may have. A run that crosses early costs about 50 us and
-# its table row about 20 B, so 10^5 such runs take about 5 s; a run that
-# reaches the 10^6-trial cap costs about 25 ms. More runs are refused before
+# Most runs a batch may have. A run that crosses early costs about 25 us and
+# its table row about 15 B, so 10^5 such runs take about 2.5 s; a run that
+# reaches the 10^6-trial cap costs about 20 ms. More runs are refused before
 # any is started.
 _MAX_RUNS = 100_000
 
-# Most trials a batch may expect to draw (see run_batch). A trial costs 22-27
-# ns (20 runs that reach the 10^6-trial cap take 0.43-0.54 s), so this bounds
-# a batch to about 30 s; a larger batch is refused before any run starts.
+# Most trials a batch may expect to draw (see run_batch). A trial costs 18-21
+# ns (20 runs that reach the 10^6-trial cap take 0.35-0.43 s on 2 CPUs), so
+# this bounds a batch to about 20 s; a larger batch is refused before any run
+# starts.
 _MAX_TRIALS = 1_000_000_000
 
 
@@ -85,20 +89,38 @@ def simulate_depression(
     """
     expected = _check_game(q, r, target_exponent, cap, seed)
     _require_int("run_index", run_index, 0, 2**64 - 1)
-    return _play(q, r, target_exponent, cap, seed, run_index, expected, keep_trajectory)
+    return _play(
+        _generator(), _log_ratios(q, r), q, r, target_exponent, cap, seed, run_index, expected,
+        keep_trajectory,
+    )
+
+
+def _generator() -> np.random.Generator:
+    """A Generator on one Philox, for _play to re-key at the start of each run."""
+    return np.random.Generator(np.random.Philox(key=0))
 
 
 def _play(
-    q: float, r: float, target_exponent: float, cap: int, seed: int, run_index: int,
-    expected: float, keep_trajectory: bool = False,
+    rng: np.random.Generator, ratios: tuple[float, float], q: float, r: float,
+    target_exponent: float, cap: int, seed: int, run_index: int, expected: float,
+    keep_trajectory: bool = False,
 ) -> SimulationRun:
-    """One run of the game on arguments _check_game has already accepted."""
-    hit, miss = _log_ratios(q, r)
+    """One run of the game on arguments _check_game has already accepted.
 
-    # a uint64 key: numpy reads a list holding a word >= 2**63 as float64,
-    # which rounds distinct seeds onto one stream
-    key = np.array([seed, run_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng's Philox is re-keyed to the run's own stream: key (seed, run_index),
+    counter 0 and an empty buffer, so nothing is left over from the run it
+    played before. ratios is _log_ratios(q, r).
+    """
+    hit, miss = ratios
+    # the setter casts each word to uint64, so a seed >= 2**63 keeps all its bits
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed, run_index)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     target = -float(target_exponent)
 
     acc = 0.0
@@ -122,7 +144,7 @@ def _play(
             break
         acc = float(partial[-1])
         done += take
-        block *= 2
+        block = min(2 * block, _BLOCK_CEILING)
 
     trajectory = None
     if keep_trajectory:
@@ -194,7 +216,10 @@ def run_batch(
         raise ValueError(
             f"{runs} runs expect about {trials:.3g} trials, more than the {_MAX_TRIALS} allowed"
         )
-    results = [_play(q, r, target_exponent, cap, seed, i, expected) for i in range(runs)]
+    rng, ratios = _generator(), _log_ratios(q, r)
+    results = [
+        _play(rng, ratios, q, r, target_exponent, cap, seed, i, expected) for i in range(runs)
+    ]
     return SimulationBatch(runs=tuple(results))
 
 

@@ -177,7 +177,8 @@ def test_module_entrypoint_version():
     assert proc.stdout == "triphoton 0.1.0\n"
 
 
-SCIPY_PROBE = """
+# every command but simulate, each run in one fresh interpreter by a probe
+_PROBE_COMMANDS = """
 import contextlib, io, json, sys
 import triphoton, triphoton.cli as cli
 
@@ -191,8 +192,16 @@ run("mermin", "sweep", "--delta", "0:180:30")
 run("mermin", "extremize", "--starts", "2")
 run("strength", "table")
 run("strength", "sweep", "--delta", "80:180:20")
+"""
+
+SCIPY_PROBE = _PROBE_COMMANDS + """
 run("simulate", "--delta", "120", "--runs", "2")
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+# simulate draws its runs from numpy.random; no other command may load it
+NUMPY_RANDOM_PROBE = _PROBE_COMMANDS + """
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("numpy.random"))))
 """
 
 
@@ -206,6 +215,15 @@ def _src_env() -> dict:
 def test_no_command_loads_scipy():
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_only_simulate_loads_numpy_random():
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_RANDOM_PROBE], capture_output=True, text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []

@@ -96,16 +96,30 @@ def test_state_contract_with_separate_values(outputs, theta12, theta13, options)
     assert "expected one argument" not in err, geometry
 
 
-@_CONTRACT
-@given(_number(0.0, 180.0), _number(0.0, 180.0), _number(5.0, 180.0), _options)
-def test_mermin_sweep_contract(outputs, start, stop, step, options):
-    _check(["mermin", "sweep", f"--delta={start!r}:{stop!r}:{step!r}"], options, outputs)
+# --delta=start:stop:step. Two independent numbers are mostly refused (stop
+# below start, or an edge value), so part of the examples draw an ordered
+# pair inside [0, 180] that reaches the array builder; a step of at least 5
+# keeps those sweeps to 37 rows.
+_delta_range = st.builds(
+    lambda pair, step: f"--delta={pair[0]!r}:{pair[1]!r}:{step!r}",
+    st.one_of(
+        st.tuples(_number(0.0, 180.0), _number(0.0, 180.0)),
+        st.lists(st.floats(0.0, 180.0), min_size=2, max_size=2).map(sorted),
+    ),
+    _number(5.0, 180.0),
+)
 
 
 @_CONTRACT
-@given(_number(0.0, 180.0), _number(0.0, 180.0), _number(5.0, 180.0), _options)
-def test_strength_sweep_contract(outputs, start, stop, step, options):
-    _check(["strength", "sweep", f"--delta={start!r}:{stop!r}:{step!r}"], options, outputs)
+@given(_delta_range, _options)
+def test_mermin_sweep_contract(outputs, delta, options):
+    _check(["mermin", "sweep", delta], options, outputs)
+
+
+@_CONTRACT
+@given(_delta_range, _options)
+def test_strength_sweep_contract(outputs, delta, options):
+    _check(["strength", "sweep", delta], options, outputs)
 
 
 @_CONTRACT

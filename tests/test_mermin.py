@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -25,7 +26,8 @@ from triphoton import (
     yx_settings,
 )
 from triphoton import mermin
-from triphoton.mermin import _halton, _symmetrized, _value_gradient_hessian
+from triphoton.mermin import _halton, _pcg64_words32, _shuffled, _symmetrized
+from triphoton.mermin import _value_gradient_hessian
 from triphoton.tensor import pauli_tensor
 from triphoton.states import delta_range
 
@@ -285,7 +287,9 @@ def test_extremize_is_deterministic():
     assert len(a.points) == len(b.points)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 5, 7, 42, 999, 123456, 2**31 - 1])
+@pytest.mark.parametrize(
+    "seed", [0, 1, 2, 5, 7, 42, 999, 123456, 2**31 - 1, 2**64 + 1, 2**100 + 7, 2**200 + 3]
+)
 def test_halton_starts_match_scipy_bit_for_bit(seed):
     # the start points scipy's scrambled Halton gave before the extremizer
     # had its own generator; seed=, not rng=, which draws another stream
@@ -294,6 +298,23 @@ def test_halton_starts_match_scipy_bit_for_bit(seed):
     for n in (1, 7, 32, 64, 200):
         expected = qmc.scale(qmc.Halton(d=4, scramble=True, seed=seed).random(n), lo, hi)
         assert np.array_equal(_halton(n, seed) * (hi - lo) + lo, expected)
+
+
+# seeds of 1, 2, 3, 4, 5 and 7 32-bit words: past four, SeedSequence mixes
+# the extra words in after its pool
+_PORT_SEEDS = [*range(3000), 2**31 - 1, 2**32, 2**32 + 5, 2**63, 2**64 - 1, 2**64, 2**100 + 7,
+               2**127 - 1, 2**128, 10**40, 2**200 + 3]
+
+
+def test_permutation_stream_matches_numpy_shuffle():
+    # _halton's permutations, in its draw order, against the numpy stream it ports
+    sizes = [base for base in (2, 3, 5, 7) for _ in range(math.ceil(54 / math.log2(base)) - 1)]
+    for seed in _PORT_SEEDS:
+        rng, words = np.random.default_rng(seed), _pcg64_words32(seed)
+        for size in sizes:
+            expected = np.arange(size)
+            rng.shuffle(expected)
+            assert _shuffled(size, words) == expected.tolist(), (seed, size)
 
 
 def test_extremize_validates_starts():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,32 @@ def test_long_trajectory_is_one_sequential_sum():
     expected = np.cumsum(np.where(rng.random(cap) < q, -up, -dn))
     assert np.array_equal(run.trajectory, expected)
     assert run.final_log10 == expected[-1]
+
+
+def test_a_long_run_holds_its_draws_to_one_block():
+    # doubling without a ceiling held ~37 MiB of draws at this cap
+    simulate_depression(0.5, 0.5, cap=10)  # first-call allocations out of the peak
+    tracemalloc.start()
+    try:
+        run = simulate_depression(0.5, 0.5, cap=4_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.capped
+    assert peak < 2**20, peak
+
+
+def test_each_batch_run_starts_its_own_philox_stream():
+    # no run crosses, and a cap of 4k + 1 leaves three words of each run's
+    # four-word Philox buffer unread; the next run must not read them
+    q, r, cap, seed = 0.4, 0.3, 4097, 11
+    batch = run_batch(q, r, runs=8, seed=seed, target_exponent=1e3, cap=cap)
+    up, dn = math.log10(q / r), math.log10((1 - q) / (1 - r))
+    for i, run in enumerate(batch.runs):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        expected = np.cumsum(np.where(rng.random(cap) < q, -up, -dn))
+        assert run.capped
+        assert run.final_log10 == expected[-1], i
 
 
 def test_batch_ordering_and_worker_independence():
