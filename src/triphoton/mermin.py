@@ -309,9 +309,9 @@ _POLE_TOL = 1e-6  # radians from a pole within which phi is arbitrary
 _ZERO_PHI_TOL = 1e-12
 _NEWTON_STEPS = 100  # steps after which `minimize` gives up on a start
 
-# Most starts an extremization may take. A start costs about 1.2 ms, so this
-# bounds a call to about 15 s and its start points to 320 kB; more is refused
-# before the start points are drawn.
+# Most starts an extremization may take. A start costs up to 2 ms (delta:0, whose
+# minimum is degenerate: 10^4 starts in 20 s end to end, 2 CPUs), so this bounds a
+# call to about 20 s and its start points to 320 kB; more is refused before drawing.
 _MAX_STARTS = 10_000
 
 

@@ -17,14 +17,7 @@ import numpy as np
 
 def format_number(value: float) -> str:
     """12 significant digits; inf/nan spelled out; -0.0 normalized to 0."""
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if v == 0.0:
-        v = 0.0
-    return f"{v:.12g}"
+    return f"{float(value) + 0.0:.12g}"
 
 
 def _cell(value, json: bool) -> str:

@@ -226,9 +226,9 @@ def delta_family_state(delta_deg: float) -> PureState:
     return PureState(_delta_family_tensor(delta_deg))
 
 
-# Most rows a delta range may have. A row costs about 0.01 ms in the Mermin
-# sweep and 0.15-0.3 ms in the strength sweep (2 CPUs), so this bounds a sweep to
-# minutes and its deltas to 8 MB; a finer range is refused before allocating.
+# Most rows a delta range may have. A row costs about 0.01 ms in the Mermin sweep
+# and up to 0.09 ms, a violating row, in the strength sweep (2 CPUs), so this bounds
+# a sweep to minutes and its deltas to 8 MB; a finer range is refused before allocating.
 _MAX_DELTA_ROWS = 1_000_000
 
 

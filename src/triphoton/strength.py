@@ -7,7 +7,9 @@ expectations E = 2q - 1 the Mermin combination reads 6 q1 - 2 q2 - 2, so a
 local-realistic model saturating the bound at -2 must satisfy r2 = 3 r1
 (and r2 = 3 r1 - 2 at +2). The most stubborn admissible model minimizes
 the larger of the two Kullback-Leibler distances; the trial count divides
-the target log-odds exponent by that minimax distance.
+the target log-odds exponent by that minimax distance. Only the face the
+violation crosses is searched: the larger distance is convex in the model
+and 0 at q, so the far face lies at least three times farther (`_minimax`).
 
 All information distances are in base-10 digits per trial. The bounded
 minimizer and the root polish are pure-Python ports of scipy's routines
@@ -279,43 +281,47 @@ class StrengthReport:
     target_exponent: float
 
 
-# (slope, shift, lo, hi): r2 = slope * r1 + shift for r1 in [lo, hi] saturates
-# the Mermin bound at -2, then at +2
+# faces M = -2, then +2 (index M > 2): r2 = slope * r1 + shift for r1 in [lo, hi]
 _SIDES = ((3.0, 0.0, 0.0, 1.0 / 3.0), (3.0, -2.0, 2.0 / 3.0, 1.0))
 
 
-def _minimax(q1: float, q2: float) -> tuple[float, float, float, float, float]:
-    """(worst, r1, r2, k1, k2) of the saturating local model that minimizes
-    worst = max(k1, k2), where k1 = K(q1, r1) and k2 = K(q2, r2).
+def _minimax(q1: float, q2: float, side: tuple) -> tuple[float, float, float, float, float]:
+    """(worst, r1, r2, k1, k2) of the model on `side`, one of _SIDES, that
+    minimizes worst = max(k1, k2), where k1 = K(q1, r1) and k2 = K(q2, r2).
 
-    On each side, worst is convex in r1 (K is convex in its second argument),
-    so the bounded minimizer finds its unique interior minimum. It stalls near
-    sqrt(eps)*|x|, so an interior crossing of k1 and k2 is polished as a root
-    of their difference, which bisection resolves to machine precision. The
-    segment ends are candidates too: a distance can vanish there when its q
-    sits on an endpoint. The first smallest finite worst wins; RuntimeError
-    when no candidate is finite.
+    Only the face the violation crosses can hold the minimax. As a function F
+    of r = (r1, r2), worst is convex (K is convex in r) with F(q) = 0, and M is
+    linear, so the segment from q to a far-face model r meets the near face at
+    r' = q + t (r - q), t = (|M| - 2) / (|M| + 2) <= 1/3 as |M| <= 4. Hence
+    F(r') <= t F(r): every far-face model is at least three times farther than
+    some near-face one, far beyond optimizer error. On the face, worst is thus
+    convex in r1, and the bounded minimizer finds its unique interior minimum.
+    It stalls near sqrt(eps)*|x|, so an interior crossing of k1 and k2 is
+    polished as a root of their difference, which bisection resolves to machine
+    precision. The segment ends are candidates too: a distance can vanish there
+    when its q sits on an endpoint. The first smallest finite worst wins;
+    RuntimeError when no candidate is finite.
     """
+    slope, shift, lo, hi = side
+    worst = lambda r1: max(
+        _info_distance_extended(q1, r1), _info_distance_extended(q2, slope * r1 + shift)
+    )
+    x = minimize_scalar(worst, lo + 1e-15, hi - 1e-15, xatol=1e-13).x
+    diff = lambda r1: (
+        _info_distance_extended(q1, r1) - _info_distance_extended(q2, slope * r1 + shift)
+    )
+    a, b = max(lo + 1e-12, x - 1e-6), min(hi - 1e-12, x + 1e-6)
+    if a < b:
+        fa, fb = diff(a), diff(b)
+        if math.isfinite(fa) and math.isfinite(fb) and fa * fb < 0.0:
+            x = brentq(diff, a, b, xtol=1e-15, rtol=8.9e-16)
     best = None
-    for slope, shift, lo, hi in _SIDES:
-        worst = lambda r1: max(
-            _info_distance_extended(q1, r1), _info_distance_extended(q2, slope * r1 + shift)
-        )
-        x = minimize_scalar(worst, lo + 1e-15, hi - 1e-15, xatol=1e-13).x
-        diff = lambda r1: (
-            _info_distance_extended(q1, r1) - _info_distance_extended(q2, slope * r1 + shift)
-        )
-        a, b = max(lo + 1e-12, x - 1e-6), min(hi - 1e-12, x + 1e-6)
-        if a < b:
-            fa, fb = diff(a), diff(b)
-            if math.isfinite(fa) and math.isfinite(fb) and fa * fb < 0.0:
-                x = brentq(diff, a, b, xtol=1e-15, rtol=8.9e-16)
-        for r1 in (x, lo, hi):
-            r2 = slope * r1 + shift
-            k1, k2 = _info_distance_extended(q1, r1), _info_distance_extended(q2, r2)
-            value = max(k1, k2)
-            if math.isfinite(value) and (best is None or value < best[0]):
-                best = (value, r1, r2, k1, k2)
+    for r1 in (x, lo, hi):
+        r2 = slope * r1 + shift
+        k1, k2 = _info_distance_extended(q1, r1), _info_distance_extended(q2, r2)
+        value = max(k1, k2)
+        if math.isfinite(value) and (best is None or value < best[0]):
+            best = (value, r1, r2, k1, k2)
     if best is None:
         raise RuntimeError("no admissible local model found; probabilities degenerate")
     return best
@@ -324,11 +330,11 @@ def _minimax(q1: float, q2: float) -> tuple[float, float, float, float, float]:
 def best_lr_model(q1_or_model, q2: float | None = None, target_exponent: float = 4.0) -> StrengthReport:
     """Most defensible local-realistic model against the observed (q1, q2).
 
-    Searches the two Mermin-saturating families r2 = 3 r1 and r2 = 3 r1 - 2
-    for the model minimizing max(K(q1, r1), K(q2, r2)); the trial count is
-    target_exponent over that minimax distance. When (q1, q2) itself sits
-    inside the local bound no refutation is possible: the report carries
-    r = q, zero distances and infinite trials.
+    Searches the Mermin-saturating face the violation crosses (r2 = 3 r1 at
+    M < -2, r2 = 3 r1 - 2 at M > 2) for the model minimizing max(K(q1, r1),
+    K(q2, r2)); the trial count is target_exponent over that minimax distance.
+    When (q1, q2) itself sits inside the local bound no refutation is
+    possible: the report carries r = q, zero distances and infinite trials.
     """
     if isinstance(q1_or_model, EventModel):
         model = q1_or_model
@@ -348,7 +354,7 @@ def best_lr_model(q1_or_model, q2: float | None = None, target_exponent: float =
             target_exponent=target_exponent,
         )
 
-    worst, r1, r2, k1, k2 = _minimax(q1, q2v)
+    worst, r1, r2, k1, k2 = _minimax(q1, q2v, _SIDES[model.mermin_value > 2.0])
     return StrengthReport(
         q1=q1, q2=q2v, r1=r1, r2=r2, k1=k1, k2=k2,
         n_trials=target_exponent / worst,

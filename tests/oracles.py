@@ -191,6 +191,17 @@ def kl_digits(q, r):
     return total
 
 
+def far_face_minimax(q1, q2, n=10_000):
+    """Smallest max(K(q1, r1), K(q2, r2)) over n evenly spaced r1 inside the
+    open segment of the Mermin face that the violation of (q1, q2) does not
+    cross: r2 = 3 r1 - 2 on (2/3, 1) when 6 q1 - 2 q2 - 2 < -2, else r2 = 3 r1
+    on (0, 1/3). Inside it both r lie in (0, 1), so every distance is finite;
+    a grid minimum can only over-estimate the face's true minimum."""
+    lo, shift = (2.0 / 3.0, -2.0) if 6.0 * q1 - 2.0 * q2 - 2.0 < -2.0 else (0.0, 0.0)
+    r1 = lo + np.arange(1, n + 1) / (3.0 * (n + 1))
+    return float(np.maximum(kl_digits(q1, r1), kl_digits(q2, 3.0 * r1 + shift)).min())
+
+
 def mp_info_distance(q, r, dps=50):
     """K(q, r) in base-10 digits from mpmath at dps digits: the natural-log
     relative entropy of the float inputs, taken exactly, over ln 10."""

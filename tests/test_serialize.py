@@ -21,6 +21,9 @@ def test_format_number_specials():
     assert format_number(float("inf")) == "inf"
     assert format_number(float("-inf")) == "-inf"
     assert format_number(-0.0) == "0"
+    assert format_number(math.copysign(math.nan, -1.0)) == "nan"
+    assert format_number(np.float64(-0.0)) == "0"
+    assert format_number(5e-324) == "4.94065645841e-324"
 
 
 def test_csv_cells_and_layout():

@@ -276,6 +276,16 @@ def test_strength_sweep_is_monotone_in_the_violating_region():
     assert all(b < a for a, b in zip(ns, ns[1:]))
 
 
+_MINIMAX_DELTAS = np.concatenate((delta_range(80.0, 180.0, 0.25), delta_range(85.8, 86.5, 0.001)))
+
+
+def _random_violating_models():
+    """2000 violating models, uniform in (q1, q2): about half on each side of the bound."""
+    rng = np.random.default_rng(13)
+    models = [m for m in map(EventModel, *rng.uniform(0.0, 1.0, (2, 6600)).tolist()) if m.violates]
+    return models[:2000]
+
+
 def _recorded(fn, calls):
     """fn, appending each of its results to calls."""
     def wrapper(*args, **kwargs):
@@ -290,12 +300,10 @@ def test_minimax_ports_match_scipy_bit_for_bit(monkeypatch):
     # every report field and every minimizer's (x, nfev) must come out equal
     from scipy import optimize
 
-    deltas = np.concatenate((delta_range(80.0, 180.0, 0.25), delta_range(85.8, 86.5, 0.001)))
-    models = [event_probabilities(delta_family_state(float(d))) for d in deltas]
-    rng = np.random.default_rng(13)
-    random = [m for m in map(EventModel, *rng.uniform(0.0, 1.0, (2, 6600)).tolist()) if m.violates]
-    models += random[:2000] + [EventModel(1.0, 0.0), EventModel(0.0, 1.0), EventModel(1.0, 1.0)]
-    assert len(models) == len(deltas) + 2003
+    models = [event_probabilities(delta_family_state(float(d))) for d in _MINIMAX_DELTAS]
+    models += _random_violating_models() + [EventModel(1.0, 0.0), EventModel(0.0, 1.0)]
+    models.append(EventModel(1.0, 1.0))  # on the +2 bound: no violation, no search
+    assert len(models) == len(_MINIMAX_DELTAS) + 2003
 
     def run(minimize, root):
         minima, roots = [], []
@@ -309,8 +317,25 @@ def test_minimax_ports_match_scipy_bit_for_bit(monkeypatch):
         f, bounds=(lo, hi), method="bounded", options={"xatol": xatol}
     )
     assert port == run(scipy_bounded, optimize.brentq)
-    # one minimizer call per side of every violating model
-    assert len(port[1]) == 2 * sum(m.violates for m in models) and port[2]
+    # one minimizer call per violating model: only the face it crosses is searched
+    assert len(port[1]) == sum(m.violates for m in models) and port[2]
+
+
+def test_the_far_face_is_at_least_three_times_farther():
+    # _minimax skips the face the violation does not cross; an independent grid
+    # search of that face must find nothing closer than three times the reported
+    # worst. The grid can only over-estimate the face's minimum, and the reported
+    # worst carries optimizer and rounding error well below the stated 1e-9
+    # relative (K's cancellation near q = r costs ~2e-10); the least ratio seen,
+    # 4.8, is at the corners |M| = 4
+    models = _random_violating_models() + [EventModel(1.0, 0.0), EventModel(0.0, 1.0)]
+    family = map(event_probabilities, map(delta_family_state, _MINIMAX_DELTAS))
+    models += [m for m in family if m.violates]
+    assert {m.mermin_value > 2.0 for m in models} == {False, True}
+    for m in models:
+        report = best_lr_model(m)
+        worst = max(report.k1, report.k2)
+        assert oracles.far_face_minimax(m.q1, m.q2) >= 3.0 * worst * (1.0 - 1e-9), m
 
 
 def test_brentq_edges_match_scipy():
