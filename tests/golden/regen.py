@@ -42,6 +42,12 @@ COMMANDS = (
         for sz in ("0", "1", "-1")
         for fmt in ([], ["--format", "json"])
     ]
+    # near-collinear pairs, where 1 - cos(theta) cancels and misprinted a weight
+    + [
+        ["state", "--geometry", geometry, *fmt]
+        for geometry in ("8,175", "8,177", "175,177", "177,175")
+        for fmt in ([], ["--format", "json"])
+    ]
     + [["tangle-scan", "--step", "5"], ["tangle-scan", "--step", "3"],
        ["tangle-scan", "--step", "2", "--format", "json"]]
     + [
