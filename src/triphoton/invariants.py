@@ -83,6 +83,7 @@ def _scan_chunk(theta12: np.ndarray, theta13: np.ndarray) -> np.ndarray:
     t12 = theta12[:, None]
     t13 = theta13[None, :]
     # pair weights 1 - khat_i . khat_j = 1 - cos(theta_ij), theta23 = 360 - t12 - t13
+    # (not 2 sin^2(theta/2): bench/workloads.py pins the scan's digests; ROADMAP item 11 moves them)
     t = ortho_amplitudes(
         1.0 - np.cos(np.radians(t12)),
         1.0 - np.cos(np.radians(t13)),

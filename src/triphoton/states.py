@@ -121,23 +121,20 @@ def helicity_table(geometry: DecayGeometry) -> HelicityAmplitudeTable:
     return HelicityAmplitudeTable(geometry=geometry, amplitudes=tuple(entries))
 
 
-def _pair_weights(geometry: DecayGeometry) -> tuple[float, float, float]:
-    k = geometry.unit_vectors
-    return (
-        1.0 - float(np.dot(k[0], k[1])),
-        1.0 - float(np.dot(k[0], k[2])),
-        1.0 - float(np.dot(k[1], k[2])),
-    )
+def _pair_weights(geometry: DecayGeometry) -> np.ndarray:
+    """(w12, w13, w23) as 2 sin^2(theta_ij / 2), free of the cancellation in 1 - cos."""
+    return 2.0 * np.sin(np.radians(geometry.pair_openings_deg[::-1]) / 2.0) ** 2
 
 
 def ortho_amplitudes(w12, w13, w23, spin_z: int = 0) -> np.ndarray:
     """Normalized real amplitudes of the spin-1 decay state, shape (..., 2, 2, 2).
 
-    w_ij is the pair weight 1 - khat_i . khat_j; the weights broadcast
-    against each other, so arrays of them give a stack of states. For
-    spin_z = 0 the weights sit with plus signs on |++-> and |--+> (w12),
-    |+-+> and |-+-> (w13), and |-++> and |+--> (w23). For spin_z = +1 or -1
-    the second member of each pair picks up a minus sign.
+    w_ij is the pair weight 1 - khat_i . khat_j = 2 sin^2(theta_ij / 2); the
+    weights broadcast against each other, so arrays of them give a stack of
+    states, and an all-zero triple gives the zero tensor. For spin_z = 0 the
+    weights sit with plus signs on |++-> and |--+> (w12), |+-+> and |-+->
+    (w13), and |-++> and |+--> (w23). For spin_z = +1 or -1 the second member
+    of each pair picks up a minus sign.
     """
     if spin_z not in (0, +1, -1):
         raise ValueError(f"spin_z must be 0, +1 or -1, got {spin_z}")
@@ -149,16 +146,14 @@ def ortho_amplitudes(w12, w13, w23, spin_z: int = 0) -> np.ndarray:
     t[..., 1, 0, 1] = sign * w13
     t[..., 1, 0, 0] = w23
     t[..., 0, 1, 1] = sign * w23
-    t /= np.sqrt(np.einsum("...abc,...abc->...", t, t))[..., None, None, None]
+    norm = np.sqrt(np.einsum("...abc,...abc->...", t, t))
+    t /= np.where(norm == 0.0, 1.0, norm)[..., None, None, None]
     return t
 
 
 def ortho_state(geometry: DecayGeometry, spin_z: int = 0) -> PureState:
     """Three-photon state of the spin-1 decay for one spin projection (see ortho_amplitudes)."""
     _require_feasible(geometry)
-    # Weights from dot products here, from 1 - cos(opening angle) in the tangle
-    # scan. The cosine here too would change the printed digits of a few
-    # integer-degree states, and neither formula rounds correctly in all of them.
     return PureState(ortho_amplitudes(*_pair_weights(geometry), spin_z).ravel())
 
 

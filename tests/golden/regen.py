@@ -42,7 +42,7 @@ COMMANDS = (
         for sz in ("0", "1", "-1")
         for fmt in ([], ["--format", "json"])
     ]
-    # near-collinear pairs, where 1 - cos(theta) cancels and misprinted a weight
+    # one pair of photons 8 degrees apart, where a weight formed as 1 - cos(theta) cancels
     + [
         ["state", "--geometry", geometry, *fmt]
         for geometry in ("8,175", "8,177", "175,177", "177,175")

@@ -217,6 +217,33 @@ def mp_info_distance(q, r, dps=50):
         return float(nats / mpmath.log(10))
 
 
+def mp_decay_state(theta12_deg, theta13_deg, spin_z=0, dps=40):
+    """Pair weights (w12, w13, w23) and the eight amplitudes, in basis-index
+    order, of the spin-1 decay state at the same float degrees, from mpmath
+    at dps digits.
+
+    theta23 = 360 - theta12 - theta13 is formed in floats, as DecayGeometry
+    forms it. From there on every step is exact to dps digits: w_ij =
+    1 - cos(theta_ij), whose cancellation costs fewer than four of them at
+    openings of a degree or more, and each amplitude is a weight over
+    sqrt(2 (w12^2 + w13^2 + w23^2)) with the sign layout that
+    ortho_amplitudes documents. Returns mpmath numbers; float() rounds each
+    one correctly.
+    """
+    import mpmath
+
+    openings = (theta12_deg, theta13_deg, 360.0 - theta12_deg - theta13_deg)
+    sign = 1 if spin_z == 0 else -1
+    with mpmath.workdps(dps):
+        w12, w13, w23 = (1 - mpmath.cos(mpmath.radians(mpmath.mpf(t))) for t in openings)
+        norm = mpmath.sqrt(2 * (w12**2 + w13**2 + w23**2))
+        amp = [mpmath.mpf(0)] * 8
+        amp[0b001], amp[0b110] = w12 / norm, sign * w12 / norm
+        amp[0b010], amp[0b101] = w13 / norm, sign * w13 / norm
+        amp[0b100], amp[0b011] = w23 / norm, sign * w23 / norm
+    return (w12, w13, w23), amp
+
+
 GHZ_TRIALS = 4.0 / np.log10(4.0 / 3.0)  # 32.015691...
 
 

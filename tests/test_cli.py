@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -287,6 +288,17 @@ def test_workers_below_one_exits_2(capsys):
 def test_tangle_scan_step_validation(capsys):
     assert run_cli(capsys, ["tangle-scan", "--step", "0"])[0] == 2
     assert run_cli(capsys, ["tangle-scan", "--step", "10.5"])[0] == 2
+
+
+def test_tangle_scan_axis_ending_at_360_warns_nothing(capsys):
+    # the axis ends at 359.9999999999999, whose cells have three zero pair
+    # weights; they are infeasible and print 0, with no 0/0 on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["tangle-scan", "--step", "4.999999999999998"])
+    assert (code, err) == (0, "")
+    digest = "0f90017bd593682af7171fdd071c2e6c9bb1c40df9ab52948144e50945357e8a"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

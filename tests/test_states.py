@@ -23,7 +23,8 @@ from triphoton import (
     spin_projection_state,
     tangle,
 )
-from triphoton.states import ProductDecomposition, _delta_family_tensor, delta_range
+from triphoton.serialize import format_number
+from triphoton.states import ProductDecomposition, _delta_family_tensor, delta_range, ortho_amplitudes
 from triphoton.tensor import PAULI
 
 
@@ -150,6 +151,40 @@ def test_ortho_state_validation():
         ortho_state(mercedes_geometry(), 2)
     with pytest.raises(FeasibilityError):
         ortho_state(geometry_from_angles(20.0, 30.0), 0)
+
+
+# one pair of photons 8 degrees apart, where the cancellation in 1 - khat_i . khat_j
+# is enough to misprint the pair's amplitudes in their 12th digit
+_NEAR_COLLINEAR = ((8.0, 175.0), (8.0, 177.0), (175.0, 177.0), (177.0, 175.0))
+
+
+def test_ortho_state_prints_the_exact_digits_near_collinear_pairs():
+    for t12, t13 in _NEAR_COLLINEAR:
+        for sz in (0, 1, -1):
+            amplitudes = ortho_state(geometry_from_angles(t12, t13), sz).amplitudes
+            _, exact = oracles.mp_decay_state(t12, t13, sz)
+            assert not amplitudes.imag.any()
+            printed = [format_number(a) for a in amplitudes.real]
+            assert printed == [format_number(float(e)) for e in exact], (t12, t13, sz)
+
+
+def test_ortho_state_matches_the_exact_state_on_the_integer_degree_grid():
+    grid = [(t12, t13) for t12 in range(2, 180) for t13 in range(181 - t12, 180)]
+    assert len(grid) == 15_931
+    worst = 0.0
+    for t12, t13 in grid[::13]:
+        amplitudes = ortho_state(geometry_from_angles(t12, t13), 0).amplitudes.real
+        _, exact = oracles.mp_decay_state(float(t12), float(t13))
+        for a, e in zip(amplitudes, exact):
+            worst = max(worst, float(abs((a - e) / e)) if e else abs(a))
+    assert worst <= 2e-15
+
+
+def test_ortho_amplitudes_of_zero_weights_are_zero():
+    with np.errstate(all="raise"):
+        t = ortho_amplitudes(np.array([0.0, 1.0]), 0.0, 0.0)
+    assert not t[0].any()
+    assert t[1, 0, 0, 1] == t[1, 1, 1, 0] == 1.0 / np.sqrt(2.0)
 
 
 def test_spin_zero_projection_equals_closed_form():
