@@ -10,7 +10,8 @@ which reduces to 3E - E' on permutation-symmetric states and respects the
 The extremizer needs neither scipy nor numpy.random: `minimize` is a damped
 Newton iteration on the exact Hessian of the trilinear form, run from the
 start points of `_halton`, whose permutations `_pcg64_words32` and
-`_shuffled` draw as numpy's default_rng would.
+`_shuffled` draw as numpy's default_rng would. Its products are unoptimised
+einsums, not BLAS calls, whose rounding varies with the host's kernel.
 """
 from __future__ import annotations
 
@@ -135,15 +136,15 @@ def _value_gradient_hessian(
     n, jn, curv_n = _direction_derivatives(th, ph)
     p, jp, curv_p = _direction_derivatives(thp, php)
     # s is symmetric, so contracting its last index is contracting any
-    s_n, s_p = sym @ n, sym @ p
-    grad_n = s_p @ n
-    grad_p = (s_n @ n - s_p @ p) / 2.0
-    hess = np.empty((4, 4))
-    hess[:2, :2] = jn.T @ s_p @ jn + curv_n @ grad_n
-    hess[2:, 2:] = -jp.T @ s_p @ jp + curv_p @ grad_p
-    hess[:2, 2:] = jn.T @ s_n @ jp
-    hess[2:, :2] = hess[:2, 2:].T
-    return float(_mermin(corr, n, p)), np.concatenate((grad_n @ jn, grad_p @ jp)), hess
+    s_n, s_p = np.einsum("ijk,xk->xij", sym, (n, p))
+    (s_nn, _), (s_pn, s_pp) = np.einsum("xij,yj->xyi", (s_n, s_p), (n, p))
+    grad_dir = (s_pn, (s_nn - s_pp) / 2.0)  # dM/dn, dM/dp
+    curv_n, curv_p = np.einsum("xabi,xi->xab", (curv_n, curv_p), grad_dir)
+    jac = (jn, jp)
+    hess = np.einsum("xia,xyij,yjb->xayb", jac, ((s_p, s_n), (s_n, -s_p)), jac).reshape(4, 4)
+    hess[:2, :2] += curv_n
+    hess[2:, 2:] += curv_p
+    return float(_mermin(corr, n, p)), np.einsum("xi,xia->xa", grad_dir, jac).ravel(), hess
 
 
 def mermin_gradient(state: PureState, angles_deg) -> np.ndarray:
@@ -309,9 +310,9 @@ _POLE_TOL = 1e-6  # radians from a pole within which phi is arbitrary
 _ZERO_PHI_TOL = 1e-12
 _NEWTON_STEPS = 100  # steps after which `minimize` gives up on a start
 
-# Most starts an extremization may take. A start costs up to 2 ms (delta:0, whose
-# minimum is degenerate: 10^4 starts in 20 s end to end, 2 CPUs), so this bounds a
-# call to about 20 s and its start points to 320 kB; more is refused before drawing.
+# Most starts an extremization may take. A start costs up to 2.5 ms (delta:0, whose
+# minimum is degenerate: 10^4 starts in 23-25 s end to end, 2 CPUs), so this bounds
+# a call to about 25 s and its start points to 320 kB; more is refused before drawing.
 _MAX_STARTS = 10_000
 
 
@@ -336,36 +337,35 @@ def minimize(fun, x0) -> NewtonResult:
     downhill; it is halved until it gains the Armijo share of its slope.
     Near a minimum that gain falls below the value's rounding while the
     gradient can still shrink, so the test forgives rounding (4e-16 |f|).
-    The iteration stops at a gradient norm <= 1e-13, after an accepted step
-    that gains no more than rounding once the gradient norm is <= 1e-8,
-    when 40 halvings find no acceptable step, or after _NEWTON_STEPS steps.
+    It stops at a gradient norm <= 1e-13, at <= 1e-10 once an accepted step
+    no longer halves it (a degenerate or rounding-limited minimum), when 40
+    halvings find no acceptable step, or after _NEWTON_STEPS steps.
     """
     x = np.asarray(x0, dtype=float)
     f, g, h = fun(x)
-    nfev = 1
+    g_norm, nfev = math.hypot(*g), 1
     for _ in range(_NEWTON_STEPS):
-        if np.linalg.norm(g) <= 1e-13:
+        if g_norm <= 1e-13:
             break
         lam, vec = np.linalg.eigh(h)
         lam = np.abs(lam)
         # a vanishing Hessian leaves a plain gradient step
         lam = np.maximum(lam, 1e-6 * lam.max() or 1.0)
-        step = -vec @ ((vec.T @ g) / lam)
-        slope = g @ step
-        rounding = 4e-16 * abs(f)
+        step = np.einsum("ij,kj,k->i", vec / -lam, vec, g)
+        slope = np.einsum("i,i", g, step)
         for halvings in range(41):
             t = 0.5**halvings
             f_new, g_new, h_new = fun(x + t * step)
             nfev += 1
-            if f_new <= f + 1e-4 * t * slope + rounding:
+            if f_new <= f + 1e-4 * t * slope + 4e-16 * abs(f):
                 break
         else:
             break
-        gain = f - f_new
         x, f, g, h = x + t * step, f_new, g_new, h_new
-        if gain <= rounding and np.linalg.norm(g) <= 1e-8:
+        g_last, g_norm = g_norm, math.hypot(*g)
+        if g_last / 2 < g_norm <= 1e-10:
             break
-    return NewtonResult(x, f, g, nfev, bool(np.linalg.norm(g) <= _STATIONARY_TOL))
+    return NewtonResult(x, f, g, nfev, g_norm <= _STATIONARY_TOL)
 
 
 def _fold_angles(corr: np.ndarray, x: np.ndarray, value: float) -> np.ndarray:
@@ -451,7 +451,7 @@ def mermin_extremize(state: PureState, starts: int = 64, seed: int = 0) -> Mermi
     points = []
     for _, x in sorted(clusters.values(), key=lambda e: e[0]):
         value, grad, _ = fun(x)  # at the printed, folded angles, not the Newton point
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = math.hypot(*grad)
         angles = tuple(float(a) for a in np.degrees(x))
         points.append(
             MerminResult(

@@ -235,6 +235,22 @@ def test_tracer_counts_newton_results(monkeypatch):
     assert counts["mermin.minimize.converged"] == 1
 
 
+def test_minimize_stops_on_the_gradient_not_on_the_value():
+    # near the minimum of f = 1e11 + sum(cosh x - 1) every gain is below the
+    # rounding of f: one step from x0 leaves |g| = 3.1e-9, the next ~1e-26
+    fun = lambda x: (1e11 + np.sum(np.cosh(x) - 1.0), np.sinh(x), np.diag(np.cosh(x)))
+    res = mermin.minimize(fun, np.array([2.1e-3, 0.0, 0.0, 0.0]))
+    assert res.success
+    assert math.hypot(*res.jac) <= 1e-13
+
+
+def test_extremize_prints_gradients_at_or_below_1e_10():
+    for state in [ghz_state()] + [delta_family_state(d) for d in range(5, 181, 35)]:
+        for seed in range(3):
+            for point in mermin_extremize(state, starts=64, seed=seed).points:
+                assert point.gradient_norm <= 1e-10
+
+
 def test_extremize_finds_the_deep_minimum():
     result = mermin_extremize(delta_family_state(120.0), starts=64, seed=0)
     assert result.value == pytest.approx(-3.0459560059918083, abs=1e-9)
