@@ -5,159 +5,66 @@ decay geometry, measures its entanglement (tangle and local purities),
 extremizes the Mermin combination over symmetric measurement settings, and
 quantifies how many decay events refute the best local-realistic model,
 both analytically and by Monte Carlo.
+
+Each public name is loaded from its submodule on first use, so `import
+triphoton` itself loads no submodule and no numpy.
 """
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .invariants import (
-    InvariantFingerprint,
-    geometry_tangle,
-    invariant_fingerprint,
-    tangle,
-    tangle_scan,
-)
-from .kinematics import (
-    DecayGeometry,
-    FeasibilityError,
-    PolarizationVector,
-    geometry_from_angles,
-    mercedes_geometry,
-    photon_energies,
-    polarization_vector,
-)
-from .mermin import (
-    LRBoundCheck,
-    MerminResult,
-    ObservableSettings,
-    lr_constraint_check,
-    mermin_delta_sweep,
-    mermin_extremize,
-    mermin_gradient,
-    mermin_value,
-    triple_expectation,
-    yx_settings,
-)
-from .serialize import ScanGrid, Table, format_number, rows_to_csv, rows_to_json
-from .simulate import (
-    SimulationBatch,
-    SimulationRun,
-    run_batch,
-    sample_joint_outcomes,
-    simulate_depression,
-)
-from .states import (
-    HelicityAmplitude,
-    HelicityAmplitudeTable,
-    ProductDecomposition,
-    amplitude_polarization,
-    amplitude_vector,
-    delta_family_minimal,
-    delta_family_state,
-    helicity_table,
-    mercedes_decompositions,
-    mercedes_state,
-    ortho_state,
-    para_state,
-    scalar_amplitude,
-    spin_amplitude_matrix,
-    spin_projection_state,
-)
-from .strength import (
-    EventModel,
-    SINGLET_REFERENCE_TRIALS,
-    StrengthReport,
-    best_lr_model,
-    depressing_factor,
-    event_probabilities,
-    info_distance,
-    strength_delta_sweep,
-    strength_table,
-    trials_to_depress,
-)
-from .tensor import (
-    DensityMatrix,
-    LocalOperator,
-    PureState,
-    apply_local,
-    basis_state,
-    bloch_observable,
-    ghz_state,
-    inner,
-    purity,
-    random_local_unitary,
-    reduced_density,
-    tensor3,
-)
+# submodule -> the public names it defines
+_EXPORTS = {
+    "invariants": (
+        "InvariantFingerprint", "geometry_tangle", "invariant_fingerprint", "tangle", "tangle_scan",
+    ),
+    "kinematics": (
+        "DecayGeometry", "FeasibilityError", "PolarizationVector", "geometry_from_angles",
+        "mercedes_geometry", "photon_energies", "polarization_vector",
+    ),
+    "mermin": (
+        "LRBoundCheck", "MerminResult", "ObservableSettings", "lr_constraint_check",
+        "mermin_delta_sweep", "mermin_extremize", "mermin_gradient", "mermin_value",
+        "triple_expectation", "yx_settings",
+    ),
+    "serialize": ("ScanGrid", "Table", "format_number", "rows_to_csv", "rows_to_json"),
+    "simulate": (
+        "SimulationBatch", "SimulationRun", "run_batch", "sample_joint_outcomes",
+        "simulate_depression",
+    ),
+    "states": (
+        "HelicityAmplitude", "HelicityAmplitudeTable", "ProductDecomposition",
+        "amplitude_polarization", "amplitude_vector", "delta_family_minimal",
+        "delta_family_state", "helicity_table", "mercedes_decompositions", "mercedes_state",
+        "ortho_state", "para_state", "scalar_amplitude", "spin_amplitude_matrix",
+        "spin_projection_state",
+    ),
+    "strength": (
+        "EventModel", "SINGLET_REFERENCE_TRIALS", "StrengthReport", "best_lr_model",
+        "depressing_factor", "event_probabilities", "info_distance", "strength_delta_sweep",
+        "strength_table", "trials_to_depress",
+    ),
+    "tensor": (
+        "DensityMatrix", "LocalOperator", "PureState", "apply_local", "basis_state",
+        "bloch_observable", "ghz_state", "inner", "purity", "random_local_unitary",
+        "reduced_density", "tensor3",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "DecayGeometry",
-    "DensityMatrix",
-    "EventModel",
-    "FeasibilityError",
-    "HelicityAmplitude",
-    "HelicityAmplitudeTable",
-    "InvariantFingerprint",
-    "LocalOperator",
-    "LRBoundCheck",
-    "MerminResult",
-    "ObservableSettings",
-    "PolarizationVector",
-    "ProductDecomposition",
-    "PureState",
-    "ScanGrid",
-    "SimulationBatch",
-    "SimulationRun",
-    "SINGLET_REFERENCE_TRIALS",
-    "StrengthReport",
-    "Table",
-    "amplitude_polarization",
-    "amplitude_vector",
-    "apply_local",
-    "basis_state",
-    "best_lr_model",
-    "bloch_observable",
-    "delta_family_minimal",
-    "delta_family_state",
-    "depressing_factor",
-    "event_probabilities",
-    "format_number",
-    "geometry_from_angles",
-    "geometry_tangle",
-    "ghz_state",
-    "helicity_table",
-    "info_distance",
-    "inner",
-    "invariant_fingerprint",
-    "lr_constraint_check",
-    "mercedes_decompositions",
-    "mercedes_geometry",
-    "mercedes_state",
-    "mermin_delta_sweep",
-    "mermin_extremize",
-    "mermin_gradient",
-    "mermin_value",
-    "ortho_state",
-    "para_state",
-    "photon_energies",
-    "polarization_vector",
-    "purity",
-    "random_local_unitary",
-    "reduced_density",
-    "rows_to_csv",
-    "rows_to_json",
-    "run_batch",
-    "sample_joint_outcomes",
-    "scalar_amplitude",
-    "simulate_depression",
-    "spin_amplitude_matrix",
-    "spin_projection_state",
-    "strength_delta_sweep",
-    "strength_table",
-    "tangle",
-    "tangle_scan",
-    "tensor3",
-    "trials_to_depress",
-    "triple_expectation",
-    "yx_settings",
-]
+__all__ = ["__version__", *sorted(_ORIGIN)]
+
+
+def __getattr__(name):
+    if name in _ORIGIN:
+        value = getattr(import_module(f".{_ORIGIN[name]}", __name__), name)
+    elif name in _EXPORTS:  # a submodule nothing has imported yet
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

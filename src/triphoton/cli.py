@@ -7,7 +7,11 @@ table`/`strength sweep` report trials-to-refute, and `simulate` plays the
 likelihood-ratio game. Every command writes csv (default) or json, to
 stdout or to --output, and is deterministic for fixed arguments. --workers
 (or TRIPHOTON_WORKERS) is validated but has no effect: every command runs
-serially.
+serially. For that reason `python -m triphoton` and the installed
+`triphoton` command (both `__main__.py`) set OPENBLAS_NUM_THREADS=1 before
+numpy loads, unless it is already set, so no idle OpenBLAS pool spins beside
+a command. Importing this module sets nothing and loads every submodule it
+dispatches to; `import triphoton` alone loads each on first use.
 
 Exit codes: 0 success, 2 invalid arguments or values (an unwritable
 --output included), 3 infeasible geometry.

@@ -38,20 +38,30 @@ def _haswell_skip_reason() -> str | None:
     return None
 
 
-def test_cli_matches_golden_manifest_under_haswell_blas_kernels():
-    """The manifest, recorded with one OpenBLAS kernel set, replays byte for
-    byte under the AVX2-only Haswell kernels (those of Haswell and Zen hosts).
+_HASWELL_SKIP = _haswell_skip_reason()
 
-    OpenBLAS reads OPENBLAS_CORETYPE when numpy loads it, so the replay runs
+
+@pytest.mark.parametrize("setting", [
+    pytest.param("OPENBLAS_CORETYPE=Haswell", marks=pytest.mark.skipif(
+        _HASWELL_SKIP is not None, reason=str(_HASWELL_SKIP))),
+    "OPENBLAS_NUM_THREADS=1",
+])
+def test_cli_matches_golden_manifest_under_openblas_settings(setting):
+    """The manifest, recorded with one OpenBLAS kernel set and thread pool,
+    replays byte for byte under another OpenBLAS setting:
+
+    - the AVX2-only Haswell kernels (those of Haswell and Zen hosts);
+    - one thread, which `python -m triphoton` and the installed command
+      ask for unless OPENBLAS_NUM_THREADS is already set.
+
+    OpenBLAS reads both variables when numpy loads it, so the replay runs
     in a fresh interpreter. Nehalem-class kernels are left out: the
     `tangle-scan` entries still contract the decay amplitudes through BLAS,
     and two of them print other digits there until the scan takes the
     half-angle closed form.
     """
-    reason = _haswell_skip_reason()
-    if reason:
-        pytest.skip(reason)
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell"}
+    variable, _, value = setting.partition("=")
+    env = {**os.environ, variable: value}
     env.pop("TRIPHOTON_WORKERS", None)
     package_root = str(Path(triphoton.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
