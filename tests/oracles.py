@@ -5,6 +5,8 @@ expanded polynomials, explicit index loops, closed forms, and 2x2 algebra
 on product states, so that agreement with the library is evidence and not
 tautology.
 """
+import itertools
+
 import numpy as np
 
 
@@ -168,6 +170,38 @@ def central_difference_mermin_gradient(amplitudes, angles_rad, h=1e-5):
         forward = dense_mermin(amplitudes, x + step)
         grad[i] = (forward - dense_mermin(amplitudes, x - step)) / (2.0 * h)
     return grad
+
+
+def reduced_mermin_minimum(amplitudes):
+    """Smallest Mermin value over symmetric settings, searched in two angles.
+
+    With s the sum of the six index permutations of the three-party Pauli
+    correlations, M(n, p) = s(p, n, n)/2 - s(p, p, p)/6 is a quadratic form in
+    the unit vector n, so its minimum over n is lambda_min(s(p, ., .))/2 (the
+    Rayleigh-Ritz bound) and only p is left to search: on a 181 x 361 (theta,
+    phi) grid in 1-degree steps, then by Nelder-Mead from the best 8 cells."""
+    from scipy.optimize import minimize
+
+    t = np.asarray(amplitudes, dtype=complex).reshape(2, 2, 2)
+    c = five_operand_pauli_tensor(t)[1:, 1:, 1:]
+    s = sum(c.transpose(axes) for axes in itertools.permutations(range(3)))
+
+    def reduced(theta, phi):
+        p = np.moveaxis(_angle_direction(theta, phi), 0, -1)
+        a = np.einsum("ijk,...k->...ij", s, p)
+        cubic = np.einsum("...i,...ij,...j->...", p, a, p)
+        return np.linalg.eigvalsh(a)[..., 0] / 2.0 - cubic / 6.0
+
+    theta, phi = np.meshgrid(
+        np.radians(np.arange(181.0)), np.radians(np.arange(361.0)), indexing="ij"
+    )
+    grid = reduced(theta, phi).ravel()
+    best = np.argpartition(grid, 8)[:8]
+    polish = lambda x0: minimize(
+        lambda x: float(reduced(*x)), x0, method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-15},
+    ).fun
+    return min(grid.min(), *(polish([theta.flat[i], phi.flat[i]]) for i in best))
 
 
 def su2_to_so3(unitary):

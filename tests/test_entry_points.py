@@ -1,8 +1,9 @@
 """How the package and its entry points start. `import triphoton` loads each
 public name's submodule on first use, and so no numpy; `python -m triphoton`
-and the installed `triphoton` command run OpenBLAS on one thread unless
-OPENBLAS_NUM_THREADS is already set. Each check runs in a fresh interpreter,
-because this process has loaded the package and numpy long before."""
+and the installed `triphoton` command, the only two entry points, run
+OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is already set. Each check
+runs in a fresh interpreter, because this process has loaded the package and
+numpy long before."""
 import json
 import os
 import subprocess
@@ -15,20 +16,24 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _fresh(code: str, openblas_threads: str | None = None):
-    """The JSON that `code` prints from a fresh interpreter, with the source
-    tree first on PYTHONPATH and OPENBLAS_NUM_THREADS set to
-    `openblas_threads` (unset for None)."""
+def _python(*args: str, openblas_threads: str | None = None):
+    """A fresh interpreter run with `args`, with the source tree first on
+    PYTHONPATH and OPENBLAS_NUM_THREADS set to `openblas_threads` (unset for
+    None)."""
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
     path = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(ROOT / "src") + (os.pathsep + path if path else "")
-    proc = subprocess.run(
-        [sys.executable, "-c", "import json, os, sys\n" + code],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def _fresh(code: str, openblas_threads: str | None = None):
+    """The JSON that `code` prints from a fresh interpreter (see `_python`)."""
+    proc = _python("-c", "import json, os, sys\n" + code, openblas_threads=openblas_threads)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -123,3 +128,8 @@ print(json.dumps([entry is triphoton.cli.main, os.environ.get('OPENBLAS_NUM_THRE
 """)
     assert is_cli_main
     assert setting == "1"
+
+
+def test_running_the_cli_module_as_a_script_runs_no_command():
+    proc = _python("-m", "triphoton.cli", "strength", "table")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")

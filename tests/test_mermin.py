@@ -266,6 +266,14 @@ def test_extremize_finds_the_deep_minimum():
     assert any(abs(v + 3.0) <= 1e-7 for v in values)
 
 
+@pytest.mark.parametrize("state", [
+    delta_family_state(120.0), ghz_state(), delta_family_state(90.0), delta_family_state(150.0),
+], ids=["mercedes", "ghz", "delta:90", "delta:150"])
+def test_extremize_meets_the_two_angle_reduced_minimum(state):
+    reduced = oracles.reduced_mermin_minimum(state.amplitudes)
+    assert abs(mermin_extremize(state, 64, 0).value - reduced) <= 1e-12
+
+
 def test_extremize_ghz_reaches_minus_four():
     result = mermin_extremize(ghz_state(), starts=32, seed=0)
     assert result.value == pytest.approx(-4.0, abs=1e-9)

@@ -161,6 +161,21 @@ def test_best_lr_model_balances_the_binding_channel():
     assert report.binding_event == "single_primed"
 
 
+def test_best_lr_model_plays_chsh_at_tsirelsons_bound():
+    # three CHSH setting pairs agree with probability (2 + sqrt 2)/4 and the
+    # fourth with (2 - sqrt 2)/4; the CHSH facet is the +2 face r2 = 3 r1 - 2,
+    # and the best local model answers 3/4 on the three and 1/4 on the fourth
+    q1 = (2.0 + math.sqrt(2.0)) / 4.0
+    report = best_lr_model(q1, (2.0 - math.sqrt(2.0)) / 4.0)
+    assert abs(report.r1 - 0.75) <= 1e-15
+    assert abs(report.r2 - 0.25) <= 1e-15
+    assert report.n_trials == pytest.approx(4.0 / oracles.mp_info_distance(q1, 0.75), rel=1e-12)
+    # van Dam, Gill and Grunwald's statistical strength of CHSH, in bits a trial
+    assert f"{report.k1 * math.log2(10.0):.10f}" == "0.0462738469"
+    # so a singlet needs about 287 trials here, more than the reference row's 200
+    assert report.n_trials > SINGLET_REFERENCE_TRIALS
+
+
 def test_best_lr_model_grid_certificate():
     # no admissible model on either saturating family beats the reported one
     report = best_lr_model(1.0 / 6.0, 1.0)
